@@ -164,6 +164,8 @@ DECLARED_OUT_PARAMS: Dict[str, Tuple[str, ...]] = {
     # design; cached call sites never pass ``out`` (test-enforced via
     # RPR007: a cached call site passing ``out`` would convict)
     "segmental_columns": ("out",),
+    # sums the kernel's own (|D_i|, rows) scratch block in place
+    "_sum_rows_like_reduceat": ("rows",),
 }
 
 #: Mutable module globals cached kernels may read (RPR007).  Entries

@@ -3,11 +3,14 @@
 Every point goes to the medoid with the smallest **Manhattan segmental
 distance** relative to that medoid's dimension set ``D_i`` — a single
 pass over the database.  The batch form below computes the full
-``(N, k)`` segmental-distance matrix through the vectorised
-multi-medoid kernel (:func:`repro.perf.kernels.segmental_columns` —
-one gather over a concatenated dims layout plus ``np.add.reduceat``,
-``O(N * k * l)`` work) and also backs the refinement phase's outlier
-test.  During hill climbing an
+``(N, k)`` segmental-distance matrix through the multi-medoid kernel
+(:func:`repro.perf.kernels.segmental_columns` — each medoid's
+dimensions read as rows of the transposed data block and summed in
+``np.add.reduceat``'s order, ``O(N * k * l)`` work) and also backs the
+refinement phase's outlier test.  The matrix is column-major, so the
+nearest medoid is found by a column scan
+(:func:`repro.perf.kernels.nearest_medoid`) with ``np.argmin``'s
+first-index tie rule.  During hill climbing an
 :class:`~repro.perf.cache.IterativeCache` can reuse the columns of
 medoids that kept both their row and their dimension set since the
 previous vertex.
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..perf.kernels import segmental_columns
+from ..perf.kernels import nearest_medoid, segmental_columns
 from ..validation import check_array, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,7 +73,7 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
     dist = segmental_distance_matrix(X, medoids, dim_sets,
                                      cache=cache,
                                      medoid_indices=medoid_indices)
-    labels = np.argmin(dist, axis=1).astype(np.int64)
+    labels = nearest_medoid(dist)
     if return_distances:
         return labels, dist
     return labels

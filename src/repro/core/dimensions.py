@@ -107,7 +107,8 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
         if members.size < min_locality_size:
             order = np.argsort(dist_i, kind="stable")
             order = order[order != medoid_indices[i]]
-            members = order[:min_locality_size]
+            # a copy: a cached prefix view would keep all N indices alive
+            members = order[:min_locality_size].copy()
         if cache is not None:
             cache.store_locality_members(
                 medoid_indices[i], deltas[i], min_locality_size, metric,

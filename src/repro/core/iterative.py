@@ -100,16 +100,14 @@ def replace_bad_medoids(current: np.ndarray, bad_positions: Sequence[int],
                         pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """New medoid-index set with bad positions swapped for fresh pool points.
 
-    Replacement points are drawn uniformly from pool points not already
-    in the (kept part of the) set, so the result has ``k`` distinct
-    indices.  If the pool is exhausted the bad medoids are kept.
+    Replacement points are drawn uniformly from pool points not in the
+    current set, so the result has ``k`` distinct indices and every
+    swap moves the vertex.  If the pool is exhausted the bad medoids
+    are kept.
     """
     current = np.asarray(current, dtype=np.intp)
     new = current.copy()
-    keep = np.delete(current, list(bad_positions))
-    available = np.setdiff1d(pool, keep, assume_unique=False)
-    # also exclude the bad medoids themselves: a swap must move the vertex
-    available = np.setdiff1d(available, current[list(bad_positions)])
+    available = np.setdiff1d(pool, current)
     rng.shuffle(available)
     for slot, pos in enumerate(bad_positions):
         if slot >= available.size:

@@ -75,7 +75,11 @@ def cluster_dispersions_and_sizes(
         if size == 0:
             dispersions[i] = 0.0
             continue
-        sub = X[members][:, dims]
+        # the members' D_i entries, read as rows of the transposed view
+        # (as the segmental kernel does) without copying whole rows
+        # first; .T leaves it column-major, the layout of
+        # X[members][:, dims], so the means below sum in the same order
+        sub = X.T[dims[:, None], np.flatnonzero(members)].T
         # the objective steers the hill climb's accept/reject decisions,
         # so its long reductions accumulate in float64 for any working
         # dtype (bit-identical for float64 input; for float32 the diffs

@@ -17,12 +17,13 @@ Semantics mirror the refinement phase (paper section 2.3) exactly:
   ``Delta_i = min_{j != i} d_{D_i}(m_i, m_j)`` — the same strict ``>``
   rule the refinement pass applies.
 
-Because the distance kernel, the spheres, and the argmin tie-break are
-the ones the fit itself used, ``predict(X_train)`` on a clean fit is
-**bit-identical** to ``result.labels`` — across working dtypes, cache
-on/off, and serial/parallel fits (test-enforced).  Queries run through
-the chunked memory-budget kernel, compute natively in the fitted
-working dtype, and honour an optional per-call wall-clock
+Because the distance kernel, the spheres, and the nearest-medoid scan
+(with its first-index tie-break) are the ones the fit itself used,
+``predict(X_train)`` on a clean fit is **bit-identical** to
+``result.labels`` — across working dtypes, cache on/off, and
+serial/parallel fits (test-enforced).  Queries run through the chunked
+memory-budget kernel, compute natively in the fitted working dtype, and
+honour an optional per-call wall-clock
 :class:`~repro.robustness.guards.Deadline`: when the budget expires
 mid-batch the partial result is *discarded* and a typed
 :class:`~repro.exceptions.BudgetExceededError` is raised — a serving
@@ -40,7 +41,7 @@ import numpy as np
 from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import DegenerateDataError, ParameterError
 from ..obs import get_tracer
-from ..perf.kernels import segmental_columns
+from ..perf.kernels import nearest_medoid, segmental_columns
 from ..robustness.guards import Deadline
 from ..validation import check_array, check_positive_int
 from .refinement import detect_outliers, spheres_of_influence
@@ -293,7 +294,9 @@ def predict_points(
         step = min(check_positive_int(chunk_size, name="chunk_size",
                                       minimum=1), n)
     tracer = get_tracer()
-    dist = np.empty((n, k), dtype=queries.dtype)
+    # column-major, like the kernel's own output: each medoid's column
+    # is contiguous for the nearest-medoid scan and the outlier test
+    dist = np.empty((k, n), dtype=queries.dtype).T
     with tracer.span("predict", n_points=n, k=k) as span:
         for start in range(0, n, step):
             if deadline is not None:
@@ -306,7 +309,7 @@ def predict_points(
             )
         if deadline is not None:
             deadline.check("predict")
-        clean_labels = np.argmin(dist, axis=1).astype(np.int64)
+        clean_labels = nearest_medoid(dist)
         if handle_outliers:
             outlier_mask = detect_outliers(dist, sphere_arr)
             clean_labels[outlier_mask] = OUTLIER_LABEL

@@ -25,6 +25,7 @@ from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import ParameterError
 from ..dtypes import as_working
 from ..obs import get_tracer
+from ..perf.kernels import nearest_medoid
 from ..validation import check_array
 from .assignment import segmental_distance_matrix
 from .dimensions import find_dimensions_from_clusters
@@ -91,9 +92,14 @@ def detect_outliers(dist_matrix: np.ndarray, spheres: np.ndarray) -> np.ndarray:
     """Boolean mask of points outside every medoid's sphere of influence.
 
     ``dist_matrix`` is the ``(N, k)`` segmental-distance matrix where
-    column ``i`` uses ``D_i``.
+    column ``i`` uses ``D_i``.  The test runs one column at a time (the
+    kernel's matrices are column-major), ANDing ``k`` compares — the
+    same mask as ``np.all(dist_matrix > spheres, axis=1)``.
     """
-    return np.all(dist_matrix > spheres[None, :], axis=1)
+    mask = dist_matrix[:, 0] > spheres[0]
+    for i in range(1, dist_matrix.shape[1]):
+        mask &= dist_matrix[:, i] > spheres[i]
+    return mask
 
 
 def refine_clusters(X: np.ndarray, labels: np.ndarray,
@@ -139,7 +145,7 @@ def refine_clusters(X: np.ndarray, labels: np.ndarray,
     dist = segmental_distance_matrix(X, medoids, dims,
                                      cache=cache,
                                      medoid_indices=medoid_indices)
-    new_labels = np.argmin(dist, axis=1).astype(np.int64)
+    new_labels = nearest_medoid(dist)
 
     spheres = spheres_of_influence(medoids, dims)
     if handle_outliers:

@@ -7,9 +7,11 @@ medoids (typically 1–2 of ``k``).  This package holds the machinery
 that exploits that incrementality without changing a single bit of the
 output:
 
-* :mod:`repro.perf.kernels` — a vectorised multi-medoid Manhattan
-  segmental kernel (single gather + ``np.add.reduceat`` over a
-  concatenated dims layout) replacing per-medoid Python loops;
+* :mod:`repro.perf.kernels` — the multi-medoid Manhattan segmental
+  kernel: each medoid's dimensions are read as rows of the transposed
+  data block and summed in ``np.add.reduceat``'s pairwise order (bit
+  for bit), into a column-major ``(N, k)`` matrix that
+  :func:`~repro.perf.kernels.nearest_medoid` scans column by column;
 * :mod:`repro.perf.cache` — :class:`IterativeCache`, a byte-bounded
   LRU cache of per-medoid distance columns, segmental columns, and
   locality statistics, keyed by medoid row index (and dimension set)
@@ -29,7 +31,7 @@ do serial and parallel ones.
 from __future__ import annotations
 
 from .cache import CacheStats, IterativeCache
-from .kernels import build_dims_layout, segmental_columns
+from .kernels import build_dims_layout, nearest_medoid, segmental_columns
 from .parallel import (
     SharedMatrix,
     parallel_chunks,
@@ -42,6 +44,7 @@ __all__ = [
     "IterativeCache",
     "CacheStats",
     "segmental_columns",
+    "nearest_medoid",
     "build_dims_layout",
     "SharedMatrix",
     "parallel_chunks",

@@ -213,7 +213,9 @@ class IterativeCache:
         if missing:
             fresh = cross_distances(X, X[medoid_indices[missing]], metric)
             for slot, j in enumerate(missing):
-                col = np.ascontiguousarray(fresh[:, slot])
+                # store an owned copy: a view would keep the whole miss
+                # batch alive while nbytes counts a single column
+                col = fresh[:, slot].copy()
                 out[:, j] = col
                 self._distance.put(
                     (int(medoid_indices[j]), mkey), col
@@ -232,8 +234,8 @@ class IterativeCache:
 
         A column is reused when its medoid kept both its row *and* its
         dimension set since it was computed; misses run through the
-        vectorised kernel in one sub-batch (segment reductions are
-        independent, so sub-batching preserves bits).
+        kernel in one sub-batch (each column depends only on its own
+        medoid and dimension set, so sub-batching preserves bits).
         """
         self.bind(X)
         medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
@@ -241,7 +243,9 @@ class IterativeCache:
             (int(row), tuple(int(d) for d in dims))
             for row, dims in zip(medoid_indices, dim_sets)
         ]
-        out = np.empty((X.shape[0], medoid_indices.size), dtype=X.dtype)
+        # column-major like the kernel's output, so every column copy
+        # below is contiguous
+        out = np.empty((medoid_indices.size, X.shape[0]), dtype=X.dtype).T
         missing = []
         for j, key in enumerate(keys):
             col = self._segmental.get(key)
@@ -255,7 +259,7 @@ class IterativeCache:
                 [dim_sets[j] for j in missing],
             )
             for slot, j in enumerate(missing):
-                col = np.ascontiguousarray(fresh[:, slot])
+                col = fresh[:, slot].copy()  # owned, as in distance_columns
                 out[:, j] = col
                 self._segmental.put(keys[j], col)
         tracer = get_tracer()

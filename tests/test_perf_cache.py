@@ -57,9 +57,9 @@ class TestSegmentalColumns:
             segmental_columns(X, medoids, dim_sets[:2])
 
     def test_subset_bit_identical_to_full_batch(self, workload):
-        # the cache computes only the missing columns; segment reductions
-        # are independent, so a sub-batch must reproduce the full batch's
-        # bits exactly
+        # the cache computes only the missing columns; each column
+        # depends only on its own medoid, so a sub-batch must reproduce
+        # the full batch's bits exactly
         X, medoids, dim_sets = workload
         full = segmental_columns(X, medoids, dim_sets)
         sub = segmental_columns(X, medoids[[0, 2]],
@@ -132,6 +132,42 @@ class TestIterativeCache:
         assert np.array_equal(
             b, segmental_columns(X, X[rows], [(0, 1), (2, 4)])
         )
+
+    @staticmethod
+    def _stored_arrays(cache):
+        return [value for store in cache._stores
+                for value in store._data.values()]
+
+    def test_stored_columns_own_their_memory(self, X, tiny_projected_dataset):
+        # a stored column that is a view would keep the whole miss batch
+        # alive while nbytes counts one column; a single missing column
+        # is the case where a slice of the batch is already contiguous.
+        # Locality members may be views, but only of a same-sized buffer.
+        direct = IterativeCache()
+        direct.distance_columns(X, np.array([5]), "euclidean")
+        direct.distance_columns(X, np.array([5, 40, 99]), "manhattan")
+        direct.segmental_matrix(X, np.array([3]), [(0, 1)])
+        direct.segmental_matrix(X, np.array([3, 60, 7]),
+                                [(0, 1), (2, 3), (1, 4, 5)])
+        fitted = IterativeCache()
+        points = tiny_projected_dataset.points
+        run_iterative_phase(points, np.arange(0, points.shape[0], 12),
+                            k=3, l=4, seed=11, cache=fitted)
+        assert all(len(store) > 0 for store in fitted._stores)
+        for cache in (direct, fitted):
+            for store in (cache._distance, cache._segmental):
+                assert all(a.flags.owndata for a in store._data.values())
+            for a in self._stored_arrays(cache):
+                assert a.flags.owndata or a.base.nbytes == a.nbytes
+
+    def test_nbytes_is_the_sum_of_stored_arrays(self, X):
+        cache = IterativeCache()
+        cache.distance_columns(X, np.array([5]), "euclidean")
+        cache.segmental_matrix(X, np.array([3, 60]), [(0, 1), (2, 3)])
+        cache.segmental_matrix(X, np.array([3, 61]), [(0, 1), (2, 4)])
+        stored = self._stored_arrays(cache)
+        assert cache.nbytes == sum(a.nbytes for a in stored)
+        assert cache.nbytes == 4 * X.shape[0] * X.itemsize
 
     def test_bind_new_matrix_clears_stores(self, X, rng):
         cache = IterativeCache()
