@@ -74,11 +74,11 @@ class ProclusConfig:
         and refinement phases.  Default on; results are bit-identical
         either way, only the wall clock changes.
     n_jobs:
-        Worker count for the deterministic parallel execution layer
-        (:mod:`repro.perf.parallel`): ``1`` (default) is the exact
-        serial code path, ``>= 2`` fans multi-restart fits out over a
-        process pool with a shared-memory data plane, ``-1`` uses all
-        cores.  Results are bit-identical for any value.
+        Worker count for multi-restart fits, run by the restart
+        supervisor (:mod:`repro.robustness.supervisor`): ``1``
+        (default) is the exact serial loop, ``>= 2`` fans the restarts
+        out over a process pool with a shared-memory data plane, ``-1``
+        uses all cores.  Results are bit-identical for any value.
     max_retries:
         Retry budget per restart under the fault-tolerant supervisor
         (:mod:`repro.robustness.supervisor`): a crashed or hung worker's

@@ -372,15 +372,15 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         cache on or off; hit statistics land on
         ``result.cache_stats``.  See ``docs/performance.md``.
     n_jobs:
-        Worker count for the deterministic parallel execution layer
-        (:mod:`repro.perf.parallel`).  ``1`` (default) is the exact
-        serial code path; ``>= 2`` fans ``restarts > 1`` out over that
-        many processes, sharing the sanitized data matrix through a
-        zero-copy shared-memory plane; ``-1`` uses all cores.  Results
-        are bit-identical to the serial loop for any ``n_jobs``: child
-        seeds are spawned in the parent and the winner is reduced by
-        ``(iterative_objective, restart_index)``, which is
-        order-independent.  Worker/timing diagnostics land on
+        Worker count for ``restarts > 1``, run by the restart
+        supervisor (:mod:`repro.robustness.supervisor`).  ``1``
+        (default) is the exact serial loop; ``>= 2`` fans the restarts
+        out over that many processes, sharing the sanitized data matrix
+        through a zero-copy shared-memory plane; ``-1`` uses all
+        cores.  Results are bit-identical to the serial loop for any
+        ``n_jobs``: child seeds are spawned in the parent and the
+        winner is reduced by ``(iterative_objective, restart_index)``,
+        which is order-independent.  Worker/timing diagnostics land on
         ``result.parallelism``.  Each worker builds its own
         :class:`~repro.perf.cache.IterativeCache` when ``cache=True``.
     max_retries:

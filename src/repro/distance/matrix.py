@@ -83,8 +83,7 @@ def cross_distances(X: np.ndarray, anchors: np.ndarray,
 
 
 def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
-                       memory_budget_bytes: Optional[int] = None,
-                       n_jobs: int = 1) -> np.ndarray:
+                       memory_budget_bytes: Optional[int] = None) -> np.ndarray:
     """Symmetric ``(n, n)`` distance matrix among the rows of ``X``.
 
     The metric is assumed symmetric (every registered metric is), so
@@ -93,12 +92,6 @@ def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
     anchors-times-rows product, with identical values.  The row-chunk
     memory budget applies per anchor column, as in
     :func:`cross_distances`.
-
-    ``n_jobs != 1`` dispatches anchor ranges to a thread pool
-    (:func:`repro.perf.parallel.parallel_chunks`).  Anchor ``i`` writes
-    only column ``i`` of the lower triangle and its mirrored row, so
-    the writes are disjoint and the assembled matrix is bit-identical
-    to the serial loop's.
     """
     m = get_metric(metric)
     X = as_working(X)
@@ -107,7 +100,7 @@ def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
     chunk = resolve_row_chunk(n, X.shape[1], memory_budget_bytes,
                               itemsize=X.dtype.itemsize)
 
-    def fill_anchor(i: int) -> None:
+    for i in range(n):
         block = X[i:]
         if chunk is None:
             col = m.pairwise_to_point(block, X[i])
@@ -119,24 +112,6 @@ def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
                 )
         out[i:, i] = col
         out[i, i:] = col
-
-    if n_jobs == 1:
-        for i in range(n):
-            fill_anchor(i)
-        return out
-    from ..perf.parallel import parallel_chunks, resolve_n_jobs
-
-    # anchor i does n - i distance rows, so contiguous anchor ranges
-    # carry very unequal work; several small pieces per worker let the
-    # pool balance the heavy low-index ranges against the light tail
-    workers = resolve_n_jobs(n_jobs, n_tasks=n)
-    piece = max(1, -(-n // (4 * workers)))
-
-    def fill_range(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            fill_anchor(i)
-
-    parallel_chunks(fill_range, n, chunk=piece, n_jobs=n_jobs)
     return out
 
 

@@ -53,7 +53,7 @@ def segmental_distance(a, b, dims: Sequence[int]) -> float:
 
 def segmental_distances_to_point(X: np.ndarray, p, dims: Sequence[int], *,
                                  memory_budget_bytes: Optional[int] = None,
-                                 n_jobs: int = 1) -> np.ndarray:
+                                 ) -> np.ndarray:
     """Segmental distances from every row of ``X`` to point ``p``.
 
     Parameters
@@ -70,11 +70,6 @@ def segmental_distances_to_point(X: np.ndarray, p, dims: Sequence[int], *,
         Past it, rows are processed in chunks — same values, bounded
         peak memory, exactly like
         :func:`repro.distance.matrix.cross_distances`.
-    n_jobs:
-        ``!= 1`` dispatches the row chunks to a thread pool
-        (:func:`repro.perf.parallel.parallel_chunks`); each chunk
-        writes its own disjoint output slice, so the result is
-        bit-identical to the serial loop's.
 
     Returns
     -------
@@ -91,20 +86,12 @@ def segmental_distances_to_point(X: np.ndarray, p, dims: Sequence[int], *,
     n = X.shape[0]
     chunk = resolve_row_chunk(n, d.size, memory_budget_bytes,
                               itemsize=X.dtype.itemsize)
-    if n_jobs == 1 and chunk is None:
+    if chunk is None:
         return np.abs(X[:, d] - target).mean(axis=1)
     out = np.empty(n, dtype=X.dtype)
-
-    def fill_rows(start: int, stop: int) -> None:
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         out[start:stop] = np.abs(X[start:stop, d] - target).mean(axis=1)
-
-    if n_jobs == 1:
-        for start in range(0, n, chunk):
-            fill_rows(start, min(start + chunk, n))
-        return out
-    from ..perf.parallel import parallel_chunks
-
-    parallel_chunks(fill_rows, n, chunk=chunk, n_jobs=n_jobs)
     return out
 
 

@@ -16,11 +16,12 @@ output:
   LRU cache of per-medoid distance columns, segmental columns, and
   locality statistics, keyed by medoid row index (and dimension set)
   so only the columns of swapped medoids are recomputed;
-* :mod:`repro.perf.parallel` — the deterministic parallel execution
-  layer: a shared-memory process-pool fan-out for independent restarts,
-  a thread dispatcher for the chunked distance kernels, and an ordered
-  :func:`~repro.perf.parallel.parallel_map` for experiment grids, all
-  behind an ``n_jobs`` knob whose default (``1``) is the exact serial
+* :mod:`repro.perf.parallel` — helpers behind the ``n_jobs`` knob:
+  :func:`~repro.perf.parallel.resolve_n_jobs`, the shared-memory data
+  plane (:class:`~repro.perf.parallel.SharedMatrix`) that the restart
+  supervisor (:mod:`repro.robustness.supervisor`) publishes ``X``
+  through, and an ordered :func:`~repro.perf.parallel.parallel_map` for
+  experiment grids.  The knob's default (``1``) is the exact serial
   code path.
 
 Everything here is exact: cached and uncached paths produce
@@ -34,10 +35,8 @@ from .cache import CacheStats, IterativeCache
 from .kernels import build_dims_layout, nearest_medoid, segmental_columns
 from .parallel import (
     SharedMatrix,
-    parallel_chunks,
     parallel_map,
     resolve_n_jobs,
-    run_parallel_restarts,
 )
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "nearest_medoid",
     "build_dims_layout",
     "SharedMatrix",
-    "parallel_chunks",
     "parallel_map",
     "resolve_n_jobs",
-    "run_parallel_restarts",
 ]

@@ -1,38 +1,21 @@
-"""Deterministic parallel execution layer.
+"""Parallel execution helpers behind the ``n_jobs`` knob.
 
-PROCLUS is embarrassingly parallel at three grain sizes, and this
-module provides one dispatcher for each without changing a single bit
-of any result:
+Nothing here changes a single bit of any result; parallelism buys wall
+clock only.  The module holds three pieces:
 
-* **Restarts** — :func:`run_parallel_restarts` fans the ``restarts > 1``
-  loop of :func:`repro.core.proclus._fit` out over a process pool.  The
-  data matrix travels through a zero-copy shared-memory plane
-  (:class:`SharedMatrix`): the parent publishes the sanitized ``X``
-  once via :mod:`multiprocessing.shared_memory` and every worker
-  attaches a read-only view instead of unpickling an ``(N, d)`` array
-  per task.  Child seeds are spawned in the parent — the same
-  :func:`repro.rng.spawn` streams the serial loop uses — and the winner
-  is reduced order-independently by the key ``(iterative_objective,
-  restart_index)``, which provably equals the serial loop's
-  first-best-wins choice regardless of completion order.
-* **Row chunks** — :func:`parallel_chunks` runs the chunk loops of the
-  distance kernels (:func:`repro.distance.matrix.pairwise_distances`,
-  :func:`repro.distance.segmental.segmental_distances_to_point`) on a
-  thread pool.  Each chunk writes a disjoint output slice, numpy
-  releases the GIL inside the arithmetic, and the per-chunk values are
-  identical to the serial loop's, so the assembled array is too.
-* **Experiment grids** — :func:`parallel_map` evaluates independent
-  experiment configurations concurrently (ordered results, thread
-  based: the runners close over local datasets and report objects,
-  which a process pool could not pickle).
-
-Deadline cooperation: a :class:`~repro.robustness.guards.Deadline`
-cannot cross a process boundary (its epoch is a per-process
-``perf_counter``), so the parent forwards the *remaining seconds* at
-fan-out time and each worker starts a fresh deadline from that value —
-workers self-terminate best-so-far exactly like an in-process fit.
-Once the parent's budget expires, not-yet-started restarts are
-cancelled and the reduction proceeds over every run that did complete.
+* :func:`resolve_n_jobs` — turns the user-facing ``n_jobs`` knob into a
+  concrete worker count.
+* :class:`SharedMatrix` — the zero-copy shared-memory data plane of the
+  restart fan-out.  The parent publishes the sanitized ``X`` once via
+  :mod:`multiprocessing.shared_memory` and every pool worker attaches a
+  read-only view instead of unpickling an ``(N, d)`` array per task.
+  The fan-out itself — child seeds, supervision, the order-independent
+  ``(iterative_objective, restart_index)`` winner reduction — lives in
+  :mod:`repro.robustness.supervisor`.
+* :func:`parallel_map` — evaluates independent experiment
+  configurations concurrently (ordered results, thread based: the
+  runners close over local datasets and report objects, which a process
+  pool could not pickle).
 
 ``n_jobs`` semantics everywhere: ``1`` (the default) takes the exact
 serial code path, ``>= 2`` uses that many workers, ``-1`` uses all
@@ -42,11 +25,8 @@ the number of tasks.
 
 from __future__ import annotations
 
-import math
 import os
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -55,18 +35,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - deferred heavy import
     from multiprocessing.shared_memory import SharedMemory
 
-from ..exceptions import ParameterError
-from ..obs import maybe_trace, monotonic_s
-from ..robustness.guards import Deadline
 from ..validation import check_n_jobs
 
 __all__ = [
     "resolve_n_jobs",
     "SharedMatrix",
-    "parallel_chunks",
     "parallel_map",
-    "run_parallel_restarts",
-    "RestartFanoutOutcome",
 ]
 
 
@@ -195,48 +169,6 @@ def _release_segment(shm: "SharedMemory") -> None:
 
 
 # ----------------------------------------------------------------------
-# Chunked-kernel dispatcher (threads, disjoint output slices)
-# ----------------------------------------------------------------------
-
-def parallel_chunks(write_block: Callable[[int, int], None], n_rows: int, *,
-                    chunk: Optional[int] = None, n_jobs: int = 1) -> None:
-    """Run ``write_block(start, stop)`` over row ranges covering ``n_rows``.
-
-    ``write_block`` must write only into its own ``[start, stop)`` slice
-    of the output — the contract the memory-budgeted kernels already
-    satisfy — so blocks can run on a thread pool without locking and the
-    assembled result is bit-identical to the serial loop (each block
-    computes the same values no matter who runs it, and every output
-    cell is written exactly once).
-
-    ``chunk=None`` with ``n_jobs=1`` makes a single call (the kernels'
-    unchunked fast path).  With ``n_jobs != 1`` the range is split into
-    at most ``chunk`` rows per block (when a memory budget demands it)
-    and at least one block per worker.
-    """
-    workers = resolve_n_jobs(n_jobs, n_tasks=None)
-    n_rows = int(n_rows)
-    if n_rows <= 0:
-        return
-    if workers <= 1:
-        if chunk is None:
-            write_block(0, n_rows)
-        else:
-            for start in range(0, n_rows, chunk):
-                write_block(start, min(start + chunk, n_rows))
-        return
-    per_worker = max(1, math.ceil(n_rows / workers))
-    piece = per_worker if chunk is None else min(int(chunk), per_worker)
-    starts = list(range(0, n_rows, piece))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        list(pool.map(
-            lambda s: write_block(s, min(s + piece, n_rows)), starts,
-        ))
-
-
-# ----------------------------------------------------------------------
 # Ordered map over independent configurations (experiment grids)
 # ----------------------------------------------------------------------
 
@@ -259,151 +191,3 @@ def parallel_map(fn: Callable, items: Sequence, *, n_jobs: int = 1) -> List:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-# ----------------------------------------------------------------------
-# Restart fan-out (processes + shared-memory plane)
-# ----------------------------------------------------------------------
-
-@dataclass
-class RestartFanoutOutcome:
-    """What :func:`run_parallel_restarts` hands back to ``_fit``.
-
-    ``best`` is the winning child's :class:`ProclusResult`;
-    ``winner_notes`` the notes *that child alone* produced (losing
-    restarts' notes are dropped, mirroring the serial loop's per-child
-    note isolation).  ``completed``/``cancelled`` count restarts that
-    ran to completion vs. ones the expired deadline cancelled before
-    they started.  ``restart_seconds`` holds per-restart worker wall
-    times indexed by restart (``None`` for cancelled ones).
-    """
-
-    best: object
-    best_index: int
-    winner_notes: List[str]
-    completed: int
-    cancelled: int
-    restart_seconds: List[Optional[float]]
-    n_workers: int
-
-
-def _restart_worker(
-    descriptor: Dict[str, object], index: int, seed: np.random.Generator,
-    remaining_s: Optional[float], fit_kwargs: Dict,
-    profile: bool = False,
-) -> Tuple[int, object, List[str], float]:
-    """One restart, executed in a pool worker.
-
-    Imports are deferred: this module must stay importable from the
-    distance layer without dragging in the core package (which imports
-    the distance layer right back).
-
-    With ``profile=True`` the worker runs its fit under a local tracer
-    and ships the spans home as ``result.profile`` — the payload tuple
-    shape stays fixed, so the supervisor's payload validation and the
-    checkpoint format are unaffected.
-    """
-    from ..core.proclus import _fit
-
-    X = SharedMatrix.attach(descriptor)
-    deadline = Deadline.start(remaining_s) if remaining_s is not None else None
-    params = dict(fit_kwargs)
-    k = params.pop("k")
-    l = params.pop("l")
-    notes: List[str] = []
-    t0 = monotonic_s()
-    with maybe_trace(profile) as tracer:
-        with tracer.span("restart", index=index):
-            result = _fit(X, k, l, restarts=1, seed=seed, deadline=deadline,
-                          notes=notes, n_jobs=1, **params)
-        if tracer.enabled:
-            result.profile = tracer.profile()
-    return index, result, notes, monotonic_s() - t0
-
-
-def run_parallel_restarts(X: np.ndarray, children: Sequence, *,
-                          n_jobs: int,
-                          deadline: Optional[Deadline],
-                          fit_kwargs: Dict,
-                          profile: bool = False) -> RestartFanoutOutcome:
-    """Fan independent restarts out over a process pool.
-
-    Parameters
-    ----------
-    X:
-        The (already sanitized) data matrix; published once to shared
-        memory, attached read-only by every worker.
-    children:
-        Per-restart generators spawned by the caller — the identical
-        streams the serial loop would consume, so each restart computes
-        the identical result in either mode.
-    n_jobs:
-        Worker-count knob (``-1`` = all cores; capped at
-        ``len(children)``).
-    deadline:
-        Optional wall-clock budget.  Workers receive the remaining
-        seconds at fan-out time and self-terminate best-so-far; once the
-        parent observes expiry, not-yet-started restarts are cancelled.
-    fit_kwargs:
-        Keyword arguments for :func:`repro.core.proclus._fit` minus
-        ``X``/``seed``/``deadline``/``notes``/``restarts``/``n_jobs``
-        (must include ``k`` and ``l``).
-
-    The winner is the completed restart minimising
-    ``(iterative_objective, restart_index)`` — exactly the serial
-    first-best-wins rule, independent of completion order.
-    """
-    restarts = len(children)
-    workers = resolve_n_jobs(n_jobs, n_tasks=restarts)
-    remaining = None
-    if deadline is not None and not deadline.unlimited:
-        remaining = deadline.remaining()
-
-    plane = SharedMatrix.publish(X)
-    results: Dict[int, object] = {}
-    child_notes: Dict[int, List[str]] = {}
-    seconds: List[Optional[float]] = [None] * restarts
-    cancelled = 0
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                pool.submit(_restart_worker, plane.descriptor, i, child,
-                            remaining, fit_kwargs, profile)
-                for i, child in enumerate(children)
-            }
-            while pending:
-                # Bounded timeout so deadline expiry is observed promptly
-                # even when every worker is busy: an untimed wait would
-                # postpone cancelling pending restarts until some future
-                # happens to finish.
-                done, pending = wait(pending, timeout=0.05,
-                                     return_when=FIRST_COMPLETED)
-                for fut in done:
-                    if fut.cancelled():
-                        continue
-                    index, result, notes, secs = fut.result()
-                    results[index] = result
-                    child_notes[index] = notes
-                    seconds[index] = secs
-                if deadline is not None and deadline.expired():
-                    for fut in pending:
-                        if fut.cancel():
-                            cancelled += 1
-                    pending = {f for f in pending if not f.cancelled()}
-    finally:
-        plane.unlink()
-
-    if not results:  # pragma: no cover - at least one future always runs
-        raise ParameterError("no restart completed")
-    best_index = min(
-        results, key=lambda i: (results[i].iterative_objective, i),
-    )
-    return RestartFanoutOutcome(
-        best=results[best_index],
-        best_index=best_index,
-        winner_notes=child_notes[best_index],
-        completed=len(results),
-        cancelled=cancelled,
-        restart_seconds=seconds,
-        n_workers=workers,
-    )

@@ -1,10 +1,13 @@
 """Fault-tolerant run supervisor for multi-restart PROCLUS fits.
 
-PROCLUS is pitched at large databases, and the ROADMAP's north star is a
-long-running production service — which means the restart fan-out of
-:mod:`repro.perf.parallel` must survive the failures long-lived jobs
-actually see.  This module wraps the fan-out in a supervisor providing
-four guarantees on top of the raw pool primitive:
+PROCLUS is pitched at large databases, and the paper's answer to a
+hill climb that gets stuck is to run the algorithm a few times (§4.3).
+This module is the one restart runner for ``restarts > 1``: in-process
+for ``n_jobs=1``, and over a process pool for ``n_jobs >= 2``, with the
+data matrix shipped once through the shared-memory plane
+(:class:`repro.perf.parallel.SharedMatrix`).  The pool path must
+survive the failures long-lived jobs actually see, so the supervisor
+provides four guarantees on top of the raw pool primitive:
 
 * **Crash recovery** — a worker killed mid-restart (OOM, segfault,
   ``os._exit``) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -52,6 +55,12 @@ the order-independent equivalent of the serial first-best-wins rule —
 and whose ``fault_tolerance`` dict lands on
 ``ProclusResult.fault_tolerance``.
 
+Deadline cooperation: a :class:`~repro.robustness.guards.Deadline`
+cannot cross a process boundary (its epoch is a per-process clock), so
+the parent forwards the *remaining seconds* at submission time and each
+worker starts a fresh deadline from that value — workers self-terminate
+best-so-far exactly like an in-process fit.
+
 Heavy imports (:mod:`repro.perf.parallel`, :mod:`repro.core`) are
 deferred to call time: this package sits near the bottom of the
 dependency stack and must stay importable from :mod:`repro.distance`.
@@ -75,7 +84,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
 import numpy as np
 
 from ..exceptions import CheckpointError, ParameterError
-from ..obs import get_tracer
+from ..obs import get_tracer, maybe_trace, monotonic_s
 from .atomicio import atomic_write
 from .guards import Deadline
 
@@ -395,15 +404,18 @@ class RunCheckpoint:
 class SupervisedOutcome:
     """What the supervised restart loops hand back to ``_fit``.
 
-    Field semantics match
-    :class:`repro.perf.parallel.RestartFanoutOutcome` — ``cancelled``
-    counts restarts the expired *deadline* cancelled before they
-    started (signal-cancelled ones are visible as
-    ``n_restarts - completed`` instead) — plus the supervisor's own
-    diagnostics: ``fault_tolerance`` (retry/respawn/timeout/salvage/
-    resume counters destined for ``ProclusResult.fault_tolerance``)
-    and ``interrupted``/``signum`` describing a signal-triggered
-    shutdown.
+    ``best`` is the winning restart's result and ``best_index`` its
+    restart index; ``winner_notes`` holds the notes *that restart
+    alone* produced (losing restarts' notes are dropped).
+    ``completed`` counts restarts that finished, resumed ones included.
+    ``cancelled`` counts restarts the expired *deadline* cancelled
+    before they started; signal-cancelled ones show up as
+    ``n_restarts - completed`` instead.  ``restart_seconds`` holds each
+    restart's wall time by index (``None`` for one that never ran), and
+    ``n_workers`` the worker count used (``1`` for the serial loop).
+    ``fault_tolerance`` carries the retry/respawn/timeout/salvage/resume
+    counters destined for ``ProclusResult.fault_tolerance``, and
+    ``interrupted``/``signum`` describe a signal-triggered shutdown.
     """
 
     best: "ProclusResult"
@@ -475,9 +487,33 @@ def _fault_tolerance_dict(*, max_retries: int,
 
 
 # ----------------------------------------------------------------------
-# Worker entry point (module level, declared-shareable params: RPR005)
+# The restart runner (serial loop, salvage, and pool worker)
 # ----------------------------------------------------------------------
 
+def _run_restart(X: np.ndarray, child: np.random.Generator,
+                 deadline: Optional[Deadline], fit_kwargs: Dict[str, Any],
+                 index: int) -> Tuple["ProclusResult", List[str], float]:
+    """One restart: ``_fit`` with ``restarts=1`` under a ``restart`` span.
+
+    Returns the child result, the notes it alone produced, and its wall
+    time.  ``fit_kwargs`` are the keyword arguments of
+    :func:`repro.core.proclus._fit` minus ``X``/``seed``/``deadline``/
+    ``notes``/``restarts``/``n_jobs`` (``k`` and ``l`` included).
+    """
+    from ..core.proclus import _fit
+
+    params = dict(fit_kwargs)
+    k = params.pop("k")
+    l = params.pop("l")
+    notes: List[str] = []
+    t0 = monotonic_s()
+    with get_tracer().span("restart", index=index):
+        result = _fit(X, k, l, restarts=1, seed=child, deadline=deadline,
+                      notes=notes, n_jobs=1, **params)
+    return result, notes, monotonic_s() - t0
+
+
+# Pool entry point: module level, declared-shareable params (RPR005).
 def _supervised_worker(
     descriptor: Dict[str, object], index: int, seed: np.random.Generator,
     remaining_s: Optional[float], fit_kwargs: Dict, attempt: int,
@@ -485,17 +521,27 @@ def _supervised_worker(
 ) -> Tuple[int, object, List[str], float]:
     """One supervised restart inside a pool worker.
 
-    Thin shell over :func:`repro.perf.parallel._restart_worker` that
-    first applies any injected process fault — crash and hang never
+    Applies any injected process fault first — crash and hang never
     return; ``corrupt`` returns a malformed payload the parent-side
-    validator must reject and retry.
+    validator must reject and retry.  Otherwise it attaches the shared
+    data matrix, starts a fresh deadline from ``remaining_s``, and runs
+    :func:`_run_restart`.  With ``profile=True`` the restart runs under
+    a local tracer whose profile ships home as ``result.profile``; the
+    payload tuple shape stays fixed, so payload validation and the
+    checkpoint format are unaffected.
     """
     if apply_process_fault(fault, index, attempt):
         return (index, None, [], 0.0)  # corrupt payload
-    from ..perf.parallel import _restart_worker
+    from ..perf.parallel import SharedMatrix
 
-    return _restart_worker(descriptor, index, seed, remaining_s, fit_kwargs,
-                           profile)
+    X = SharedMatrix.attach(descriptor)
+    deadline = Deadline.start(remaining_s) if remaining_s is not None else None
+    with maybe_trace(profile) as tracer:
+        result, notes, secs = _run_restart(X, seed, deadline, fit_kwargs,
+                                           index=index)
+        if tracer.enabled:
+            result.profile = tracer.profile()
+    return index, result, notes, secs
 
 
 def _valid_payload(payload: object, index: int) -> bool:
@@ -511,29 +557,6 @@ def _valid_payload(payload: object, index: int) -> bool:
         hasattr(result, attr)
         for attr in ("iterative_objective", "labels", "terminated_by")
     )
-
-
-# ----------------------------------------------------------------------
-# In-process restart runner (shared by the serial loop and salvage)
-# ----------------------------------------------------------------------
-
-def _run_one_serial(X: np.ndarray, child: np.random.Generator,
-                    deadline: Optional[Deadline],
-                    fit_kwargs: Dict[str, Any],
-                    index: Optional[int] = None,
-                    ) -> Tuple["ProclusResult", List[str], float]:
-    """One restart computed in the parent process (exact serial path)."""
-    from ..core.proclus import _fit
-
-    params = dict(fit_kwargs)
-    k = params.pop("k")
-    l = params.pop("l")
-    notes: List[str] = []
-    t0 = time.perf_counter()
-    with get_tracer().span("restart", index=index):
-        result = _fit(X, k, l, restarts=1, seed=child, deadline=deadline,
-                      notes=notes, n_jobs=1, **params)
-    return result, notes, time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +605,7 @@ def run_serial_restarts(X: np.ndarray,
             if interrupt_after is not None and computed >= interrupt_after:
                 watch.request_stop(signal.SIGINT)
                 break
-            result, notes_i, secs = _run_one_serial(
+            result, notes_i, secs = _run_restart(
                 X, child, deadline, fit_kwargs, index=i)
             results[i] = result
             child_notes[i] = notes_i
@@ -621,9 +644,7 @@ def _terminate_pool(pool: Any, kill: bool) -> None:
     if not kill:
         pool.shutdown(wait=True, cancel_futures=True)
         return
-    procs = list(getattr(pool, "_processes", None) or {}.values())
-    if isinstance(getattr(pool, "_processes", None), dict):
-        procs = list(pool._processes.values())
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         try:
@@ -777,7 +798,7 @@ def supervise_restarts(X: np.ndarray,
                         todo.appendleft((index, attempt))
                         broken = True
                         break
-                    inflight[fut] = (index, attempt, time.perf_counter())
+                    inflight[fut] = (index, attempt, monotonic_s())
                 if inflight and not broken:
                     done, _ = futures_wait(
                         set(inflight), timeout=poll_interval_s,
@@ -815,7 +836,7 @@ def supervise_restarts(X: np.ndarray,
                     pool = ProcessPoolExecutor(max_workers=workers)
                     continue
                 if restart_timeout_s is not None and inflight:
-                    now = time.perf_counter()
+                    now = monotonic_s()
                     hung = [
                         (fut, index, attempt)
                         for fut, (index, attempt, t0) in inflight.items()
@@ -856,7 +877,7 @@ def supervise_restarts(X: np.ndarray,
                 continue
             if tracer.enabled:
                 tracer.event("salvage_serial", index=index)
-            result, notes_i, secs = _run_one_serial(
+            result, notes_i, secs = _run_restart(
                 X, children[index], deadline, fit_kwargs, index=index)
             _record(index, result, notes_i, secs)
             salvaged += 1

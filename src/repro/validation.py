@@ -179,6 +179,7 @@ def check_time_budget(value, *, name: str = "time_budget_s"):
 def check_n_jobs(value, *, name: str = "n_jobs") -> int:
     """Validate a worker-count knob: an int ``>= 1``, or ``-1`` (all cores).
 
+    The knob sizes the restart pool and the experiment-grid threads.
     Returns the value unchanged (``-1`` is resolved to a concrete core
     count later, by :func:`repro.perf.parallel.resolve_n_jobs`).
     """

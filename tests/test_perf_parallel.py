@@ -1,9 +1,9 @@
 """Tests for the deterministic parallel execution layer (repro.perf.parallel).
 
 The load-bearing property is *bit-identity*: for any ``n_jobs``, every
-dispatcher — restart fan-out, chunked kernels, experiment grids — must
-return exactly what the serial code path returns.  Parallelism here
-buys wall-clock time only, never a different answer.
+dispatcher — restart fan-out, experiment grids — must return exactly
+what the serial code path returns.  Parallelism here buys wall-clock
+time only, never a different answer.
 """
 
 import numpy as np
@@ -13,15 +13,8 @@ from repro import Proclus, proclus
 from repro.core import parallel_report
 from repro.core.serialization import load_result, save_result
 from repro.data import generate
-from repro.distance.matrix import pairwise_distances
-from repro.distance.segmental import segmental_distances_to_point
 from repro.exceptions import ParameterError
-from repro.perf.parallel import (
-    SharedMatrix,
-    parallel_chunks,
-    parallel_map,
-    resolve_n_jobs,
-)
+from repro.perf.parallel import SharedMatrix, parallel_map, resolve_n_jobs
 
 FAST = dict(max_bad_tries=4, keep_history=False)
 
@@ -83,24 +76,6 @@ class TestSharedMatrix:
             plane.unlink()
 
 
-class TestParallelChunks:
-    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [None, 7, 100])
-    def test_covers_every_row_once(self, n_jobs, chunk):
-        n = 53
-        hits = np.zeros(n, dtype=np.int64)
-
-        def block(start, stop):
-            hits[start:stop] += 1
-
-        parallel_chunks(block, n, chunk=chunk, n_jobs=n_jobs)
-        assert (hits == 1).all()
-
-    def test_empty_range(self):
-        parallel_chunks(lambda s, e: pytest.fail("should not run"), 0,
-                        n_jobs=2)
-
-
 class TestParallelMap:
     def test_serial_is_list_comprehension(self):
         assert parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
@@ -116,29 +91,6 @@ class TestParallelMap:
 
         with pytest.raises(RuntimeError, match="boom"):
             parallel_map(boom, [1, 2, 3], n_jobs=2)
-
-
-class TestKernelDispatch:
-    @pytest.mark.parametrize("n_jobs", [2, 3, -1])
-    @pytest.mark.parametrize("budget", [None, 4096])
-    def test_pairwise_identical(self, rng, n_jobs, budget):
-        X = rng.normal(size=(120, 8))
-        serial = pairwise_distances(X, memory_budget_bytes=budget)
-        parallel = pairwise_distances(X, memory_budget_bytes=budget,
-                                      n_jobs=n_jobs)
-        assert np.array_equal(serial, parallel)
-
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    @pytest.mark.parametrize("budget", [None, 1024])
-    def test_segmental_identical(self, rng, n_jobs, budget):
-        X = rng.normal(size=(500, 9))
-        dims = (0, 4, 7)
-        serial = segmental_distances_to_point(X, X[3], dims,
-                                              memory_budget_bytes=budget)
-        parallel = segmental_distances_to_point(
-            X, X[3], dims, memory_budget_bytes=budget, n_jobs=n_jobs,
-        )
-        assert np.array_equal(serial, parallel)
 
 
 class TestRestartBitIdentity:

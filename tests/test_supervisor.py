@@ -4,12 +4,16 @@ Process-fault end-to-end scenarios (killed/hung/corrupting workers,
 interrupt + resume bit-identity) live in ``test_supervisor_chaos.py``;
 this module covers the pieces in isolation: seed-state tokens, the
 atomic checkpoint store, manifest validation, signal-guard mechanics,
-shared-memory leak guards, parameter validation, and diagnostics
-serialization.
+shared-memory leak guards, the restart runner, pool teardown, parameter
+validation, and diagnostics serialization.
 """
 
+import copy
 import json
+import multiprocessing
 import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +27,10 @@ from repro.rng import ensure_rng, spawn
 from repro.robustness.faults import ProcessFaultSpec
 from repro.robustness.supervisor import (
     RunCheckpoint,
+    _run_restart,
+    _supervised_worker,
+    _terminate_pool,
+    _valid_payload,
     run_fingerprint,
     seed_state_token,
     signal_guard,
@@ -217,6 +225,77 @@ class TestSharedMatrixGuards:
         plane = SharedMatrix.publish(np.eye(3))
         plane.unlink()
         assert not plane._finalizer.alive
+
+
+# ----------------------------------------------------------------------
+# The restart runner, driven in-process
+# ----------------------------------------------------------------------
+
+#: ``_fit`` keyword arguments as ``proclus()`` hands them to the runner.
+FIT_KWARGS = dict(
+    k=3, l=3, sample_factor=30, pool_factor=5, min_deviation=0.1,
+    metric="euclidean", min_dims_per_cluster=2, handle_outliers=True,
+    fit_sample_size=None, exclude_dims=(), cache=True, dtype="float64",
+    **FAST,
+)
+
+
+class TestRestartRunner:
+    """The pool worker is the serial runner plus attach/deadline/trace.
+
+    Pool runs execute in child processes, so here the worker is called
+    directly, on its own copy of the child seed (a pool worker receives
+    a pickled snapshot, never the parent's generator).
+    """
+
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_worker_matches_serial_runner(self, workload, profile):
+        from repro.perf.parallel import _ATTACHED
+
+        child = spawn(ensure_rng(5), 3)[2]
+        serial, serial_notes, _ = _run_restart(
+            workload.points, copy.deepcopy(child), None, FIT_KWARGS, index=2)
+        plane = SharedMatrix.publish(workload.points)
+        try:
+            payload = _supervised_worker(
+                plane.descriptor, 2, copy.deepcopy(child), None, FIT_KWARGS,
+                0, None, profile)
+        finally:
+            # drop the in-process attachment before unlinking the segment
+            shm, _ = _ATTACHED.pop(str(plane.descriptor["name"]))
+            shm.close()
+            plane.unlink()
+
+        assert _valid_payload(payload, 2)
+        index, result, notes, secs = payload
+        assert index == 2 and notes == serial_notes and secs > 0
+        assert result.labels.tobytes() == serial.labels.tobytes()
+        assert (result.medoid_indices.tobytes()
+                == serial.medoid_indices.tobytes())
+        assert result.dimensions == serial.dimensions
+        assert result.iterative_objective == serial.iterative_objective
+        if profile:
+            restart_spans = [span for span in result.profile["spans"]
+                             if span["name"] == "restart"]
+            assert [span["attrs"]["index"] for span in restart_spans] == [2]
+        else:
+            assert result.profile is None
+
+
+# ----------------------------------------------------------------------
+# Pool teardown
+# ----------------------------------------------------------------------
+
+class TestTerminatePool:
+    def test_kill_reaps_every_worker(self):
+        pool = ProcessPoolExecutor(max_workers=2)
+        pool.submit(time.sleep, 30)
+        procs = list(pool._processes.values())
+        assert procs
+        _terminate_pool(pool, kill=True)
+        assert not any(proc.is_alive() for proc in procs)
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert not live & {proc.pid for proc in procs}
 
 
 # ----------------------------------------------------------------------
