@@ -72,6 +72,10 @@ CACHE_KEY_CONTRACTS: Dict[str, Dict[str, CacheKeyContract]] = {
         "dimension_stats": CacheKeyContract(
             store="_stats",
             key_names=("row", "deltas", "min_size", "metric")),
+        # A new medoid's row, filled from its |X - m| block.
+        "_fill_locality": CacheKeyContract(
+            store="_stats",
+            key_names=("row", "delta", "min_size", "metric")),
     },
 }
 

@@ -26,7 +26,6 @@ Use :class:`~repro.core.proclus.Proclus` (estimator API) or
 
 from __future__ import annotations
 
-from .assignment import assign_points
 from .config import ProclusConfig
 from .diagnostics import (
     CacheReport,
@@ -40,21 +39,20 @@ from .diagnostics import (
 )
 from .dimensions import (
     allocate_dimensions,
-    compute_localities,
     dimension_statistics,
-    find_dimensions,
     find_dimensions_from_clusters,
 )
 from .greedy import greedy_select
 from .initialization import initialize_medoid_pool
 from .iterative import IterationRecord, IterativePhaseResult, run_iterative_phase
-from .objective import evaluate_clusters
 from .predict import PredictReport, predict_points
 from .proclus import Proclus, proclus
 from .refinement import refine_clusters
 from .result import ProclusResult
 from .serialization import (load_result, load_result_with_fingerprint,
                             result_fingerprint, save_result)
+from .steps import (assign_points, compute_localities, evaluate_clusters,
+                    find_dimensions)
 from .tuning import SweepResult, sweep_k, sweep_l
 
 __all__ = [

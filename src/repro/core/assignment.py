@@ -7,13 +7,13 @@ pass over the database.  The batch form below computes the full
 (:func:`repro.perf.kernels.segmental_columns` — each medoid's
 dimensions read as rows of the transposed data block and summed in
 ``np.add.reduceat``'s order, ``O(N * k * l)`` work) and also backs the
-refinement phase's outlier test.  The matrix is column-major, so the
-nearest medoid is found by a column scan
-(:func:`repro.perf.kernels.nearest_medoid`) with ``np.argmin``'s
-first-index tie rule.  During hill climbing an
-:class:`~repro.perf.cache.IterativeCache` can reuse the columns of
-medoids that kept both their row and their dimension set since the
-previous vertex.
+refinement phase's outlier test.  The matrix is column-major and is
+consumed as its ``k`` columns, so the nearest medoid is found by a
+column scan (:func:`repro.perf.kernels.nearest_medoid`) with
+``np.argmin``'s first-index tie rule.  During hill climbing an
+:class:`~repro.perf.cache.IterativeCache` hands out the stored columns
+of medoids that kept both their row and their dimension set since the
+previous vertex, without assembling a matrix.
 """
 
 from __future__ import annotations
@@ -22,29 +22,34 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..dtypes import as_working
 from ..exceptions import ParameterError
-from ..perf.kernels import nearest_medoid, segmental_columns
+from ..perf.kernels import Columns, nearest_medoid, segmental_columns
 from ..validation import check_array, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..perf.cache import IterativeCache
 
-__all__ = ["segmental_distance_matrix", "assign_points",
-           "assign_points_chunked"]
+__all__ = ["segmental_distance_columns", "segmental_distance_matrix",
+           "assign_points", "assign_points_chunked"]
 
 
-def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
-                              dim_sets: Sequence[Sequence[int]], *,
-                              cache: Optional["IterativeCache"] = None,
-                              medoid_indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """``(N, k)`` matrix of segmental distances to each medoid.
+def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
+                               dim_sets: Sequence[Sequence[int]], *,
+                               cache: Optional["IterativeCache"] = None,
+                               medoid_indices: Optional[np.ndarray] = None,
+                               ) -> Columns:
+    """The ``k`` segmental distance columns, one per medoid.
 
     Column ``i`` uses medoid ``i``'s own dimension set ``D_i``, as the
     paper's assignment requires.  When ``cache`` *and* the medoids' row
-    indices into ``X`` are provided, columns are served from the cache
-    where possible (bit-identical to the direct computation).
+    indices into ``X`` are provided, the cache's stored columns are
+    handed out where possible (read-only, bit-identical to the direct
+    computation); otherwise the kernel's column-major matrix is passed
+    as its columns.  ``X`` is not validated here: callers validate it
+    once per phase.
     """
-    X = check_array(X, name="X")
+    X = as_working(X)
     medoids = np.atleast_2d(np.asarray(medoids, dtype=X.dtype))
     k = medoids.shape[0]
     if len(dim_sets) != k:
@@ -53,7 +58,21 @@ def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
         )
     if cache is not None and medoid_indices is not None:
         return cache.segmental_matrix(X, medoid_indices, dim_sets)
-    return segmental_columns(X, medoids, dim_sets)
+    return segmental_columns(X, medoids, dim_sets).T
+
+
+def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
+                              dim_sets: Sequence[Sequence[int]], *,
+                              cache: Optional["IterativeCache"] = None,
+                              medoid_indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column-major ``(N, k)`` matrix of segmental distances to each medoid.
+
+    The columns of :func:`segmental_distance_columns`, as one matrix.
+    """
+    X = check_array(X, name="X")
+    return np.asarray(segmental_distance_columns(
+        X, medoids, dim_sets, cache=cache, medoid_indices=medoid_indices,
+    )).T
 
 
 def assign_points(X: np.ndarray, medoids: np.ndarray,
@@ -65,17 +84,20 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
     """Assign every point to its segmentally-closest medoid.
 
     Returns the label array (ids ``0..k-1``); with
-    ``return_distances=True`` also returns the ``(N, k)`` distance
-    matrix so callers (objective evaluation, outlier detection) can
-    reuse it without a second pass.  ``cache``/``medoid_indices`` are
-    forwarded to :func:`segmental_distance_matrix`.
+    ``return_distances=True`` also returns the column-major ``(N, k)``
+    distance matrix so callers (objective evaluation, outlier
+    detection) can reuse it without a second pass.
+    ``cache``/``medoid_indices`` are forwarded to
+    :func:`segmental_distance_columns`.  ``X`` is not validated here:
+    the hill climb validates it once per phase, and the
+    :mod:`repro.core` export validates it first.
     """
-    dist = segmental_distance_matrix(X, medoids, dim_sets,
-                                     cache=cache,
-                                     medoid_indices=medoid_indices)
-    labels = nearest_medoid(dist)
+    columns = segmental_distance_columns(X, medoids, dim_sets,
+                                         cache=cache,
+                                         medoid_indices=medoid_indices)
+    labels = nearest_medoid(columns)
     if return_distances:
-        return labels, dist
+        return labels, np.asarray(columns).T
     return labels
 
 

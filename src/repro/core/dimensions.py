@@ -31,7 +31,7 @@ Degenerate cases handled beyond the paper's pseudocode (all tested):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +40,9 @@ from ..distance.matrix import cross_distances, per_dimension_average_distance
 from ..distance.segmental import segmental_distances_to_point
 from ..dtypes import as_working, to_float64
 from ..exceptions import ParameterError
+from ..perf.cache import IterativeCache, select_locality
+from ..perf.kernels import Columns
 from ..validation import check_array
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..perf.cache import IterativeCache
 
 __all__ = [
     "compute_localities",
@@ -60,7 +59,7 @@ DimensionSets = List[Tuple[int, ...]]
 def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
                        metric: Union[str, Metric] = "euclidean",
                        min_locality_size: int = 2,
-                       cache: Optional["IterativeCache"] = None) -> Tuple[List[np.ndarray], np.ndarray]:
+                       cache: Optional[IterativeCache] = None) -> Tuple[List[np.ndarray], np.ndarray]:
     """Locality point-index sets and radii for each medoid.
 
     Returns
@@ -74,22 +73,27 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
 
     With a :class:`~repro.perf.cache.IterativeCache`, distance columns
     and member sets of medoids unchanged since the previous vertex are
-    reused instead of recomputed; results are bit-identical either way.
+    reused instead of recomputed, and a new medoid's ``|X - m|`` also
+    yields its statistics row; results are bit-identical either way.
+    ``X`` is not validated here: the hill climb validates it once per
+    phase, and the :mod:`repro.core` export validates it first.
     """
-    X = check_array(X, name="X")
+    X = as_working(X)
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     k = medoid_indices.size
     if k < 2:
         raise ParameterError("localities need at least 2 medoids")
-    if cache is not None:
-        point_dist = cache.distance_columns(X, medoid_indices, metric)  # (N, k)
-        med_dist = point_dist[medoid_indices].copy()
-    else:
-        medoids = X[medoid_indices]
-        med_dist = cross_distances(medoids, medoids, metric)
-        point_dist = cross_distances(X, medoids, metric)  # (N, k)
+    medoids = X[medoid_indices]
+    med_dist = cross_distances(medoids, medoids, metric)
     np.fill_diagonal(med_dist, np.inf)
     deltas = med_dist.min(axis=1)
+    if cache is not None:
+        columns: Columns = cache.distance_columns(
+            X, medoid_indices, metric,
+            deltas=deltas, min_size=min_locality_size,
+        )
+    else:
+        columns = cross_distances(X, medoids, metric).T
 
     localities: List[np.ndarray] = []
     for i in range(k):
@@ -100,15 +104,8 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
             if members is not None:
                 localities.append(members)
                 continue
-        dist_i = point_dist[:, i]
-        mask = dist_i <= deltas[i]
-        mask[medoid_indices[i]] = False
-        members = np.flatnonzero(mask)
-        if members.size < min_locality_size:
-            order = np.argsort(dist_i, kind="stable")
-            order = order[order != medoid_indices[i]]
-            # a copy: a cached prefix view would keep all N indices alive
-            members = order[:min_locality_size].copy()
+        members = select_locality(columns[i], deltas[i], medoid_indices[i],
+                                  min_locality_size)
         if cache is not None:
             cache.store_locality_members(
                 medoid_indices[i], deltas[i], min_locality_size, metric,
@@ -226,7 +223,7 @@ def find_dimensions(X: np.ndarray, medoid_indices: np.ndarray, l: float, *,
                     min_per_cluster: int = 2,
                     localities: Optional[Sequence[np.ndarray]] = None,
                     exclude_dims: Optional[Sequence[int]] = None,
-                    cache: Optional["IterativeCache"] = None,
+                    cache: Optional[IterativeCache] = None,
                     deltas: Optional[np.ndarray] = None) -> DimensionSets:
     """The paper's ``FindDimensions`` for a concrete medoid set.
 
@@ -236,6 +233,8 @@ def find_dimensions(X: np.ndarray, medoid_indices: np.ndarray, l: float, *,
     module docstring).  With ``cache`` and the ``deltas`` that produced
     ``localities``, statistic rows of medoids whose locality is
     unchanged since the previous vertex are reused (bit-identical).
+    ``X`` is not validated here: the hill climb validates it once per
+    phase, and the :mod:`repro.core` export validates it first.
     """
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     k = medoid_indices.size

@@ -25,6 +25,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..data.dataset import OUTLIER_LABEL
+from ..dtypes import as_working
 from ..exceptions import ParameterError
 from ..validation import check_array
 
@@ -59,7 +60,7 @@ def cluster_dispersions_and_sizes(
     nothing to the objective but are flagged as bad medoids by the
     caller).
     """
-    X = check_array(X, name="X")
+    X = as_working(X)  # validated once per phase by the caller
     labels = np.asarray(labels)
     k = len(dim_sets)
     _check_labels(labels, k)
@@ -93,13 +94,18 @@ def cluster_dispersions_and_sizes(
 def cluster_dispersions(X: np.ndarray, labels: np.ndarray,
                         dim_sets: Sequence[Sequence[int]]) -> Dict[int, float]:
     """Per-cluster segmental dispersion ``w_i`` about the centroid."""
+    X = check_array(X, name="X")
     dispersions, _ = cluster_dispersions_and_sizes(X, labels, dim_sets)
     return dispersions
 
 
 def evaluate_clusters(X: np.ndarray, labels: np.ndarray,
                       dim_sets: Sequence[Sequence[int]]) -> float:
-    """The paper's objective: size-weighted mean dispersion, lower is better."""
+    """The paper's objective: size-weighted mean dispersion, lower is better.
+
+    ``X`` is not validated here: the hill climb validates it once per
+    phase, and the :mod:`repro.core` export validates it first.
+    """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:

@@ -309,9 +309,9 @@ def predict_points(
             )
         if deadline is not None:
             deadline.check("predict")
-        clean_labels = nearest_medoid(dist)
+        clean_labels = nearest_medoid(dist.T)
         if handle_outliers:
-            outlier_mask = detect_outliers(dist, sphere_arr)
+            outlier_mask = detect_outliers(dist.T, sphere_arr)
             clean_labels[outlier_mask] = OUTLIER_LABEL
         span.set(n_outliers=int(np.count_nonzero(
             clean_labels == OUTLIER_LABEL)))

@@ -25,9 +25,9 @@ from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import ParameterError
 from ..dtypes import as_working
 from ..obs import get_tracer
-from ..perf.kernels import nearest_medoid
+from ..perf.kernels import Columns, nearest_medoid
 from ..validation import check_array
-from .assignment import segmental_distance_matrix
+from .assignment import segmental_distance_columns
 from .dimensions import find_dimensions_from_clusters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,17 +88,18 @@ def spheres_of_influence(medoids: np.ndarray,
     return med_dist.min(axis=0)
 
 
-def detect_outliers(dist_matrix: np.ndarray, spheres: np.ndarray) -> np.ndarray:
+def detect_outliers(columns: Columns, spheres: np.ndarray) -> np.ndarray:
     """Boolean mask of points outside every medoid's sphere of influence.
 
-    ``dist_matrix`` is the ``(N, k)`` segmental-distance matrix where
-    column ``i`` uses ``D_i``.  The test runs one column at a time (the
-    kernel's matrices are column-major), ANDing ``k`` compares — the
-    same mask as ``np.all(dist_matrix > spheres, axis=1)``.
+    ``columns[i]`` holds every point's segmental distance to medoid
+    ``i`` in ``D_i``: the cache's stored columns, or a column-major
+    ``(N, k)`` matrix passed as its columns, ``dist.T``.  The test ANDs
+    ``k`` column compares — the same mask as
+    ``np.all(dist > spheres, axis=1)``.
     """
-    mask = dist_matrix[:, 0] > spheres[0]
-    for i in range(1, dist_matrix.shape[1]):
-        mask &= dist_matrix[:, i] > spheres[i]
+    mask = columns[0] > spheres[0]
+    for i in range(1, len(columns)):
+        mask &= columns[i] > spheres[i]
     return mask
 
 
@@ -142,14 +143,13 @@ def refine_clusters(X: np.ndarray, labels: np.ndarray,
         exclude_dims=exclude_dims,
     )
     medoids = X[medoid_indices]
-    dist = segmental_distance_matrix(X, medoids, dims,
-                                     cache=cache,
-                                     medoid_indices=medoid_indices)
-    new_labels = nearest_medoid(dist)
+    columns = segmental_distance_columns(X, medoids, dims, cache=cache,
+                                         medoid_indices=medoid_indices)
+    new_labels = nearest_medoid(columns)
 
     spheres = spheres_of_influence(medoids, dims)
     if handle_outliers:
-        outlier_mask = detect_outliers(dist, spheres)
+        outlier_mask = detect_outliers(columns, spheres)
         new_labels[outlier_mask] = OUTLIER_LABEL
         n_outliers = int(outlier_mask.sum())
     else:

@@ -4,6 +4,12 @@ A :class:`Metric` computes distances between points and, in batch form,
 between a set of points and a single point.  Algorithms take either a
 metric *name* (looked up in the registry) or a :class:`Metric` instance,
 so users can plug in custom distances without touching library code.
+
+Every metric here is a function of the coordinate-wise absolute
+differences ``|x - y|``, so a metric defines only how one row of those
+differences reduces to a distance (:meth:`Metric.reduce_rows`).  The
+hill climb's cache uses that split to read ``|X - m|`` once per new
+medoid for both its distance column and its locality statistics.
 """
 
 from __future__ import annotations
@@ -22,17 +28,30 @@ __all__ = ["Metric", "register_metric", "get_metric", "available_metrics"]
 class Metric(abc.ABC):
     """Abstract distance function.
 
-    Subclasses implement :meth:`pairwise_to_point`; the scalar form
-    :meth:`__call__` is derived from it.  All inputs are float arrays —
-    callers validate shape/dtype once at the public API boundary.
+    Subclasses implement :meth:`reduce_rows`; the batch form
+    :meth:`pairwise_to_point` and the scalar form :meth:`__call__` are
+    derived from it (a metric that reads only some columns may override
+    :meth:`pairwise_to_point` to skip the full ``(n, d)`` block).  All
+    inputs are float arrays — callers validate shape/dtype once at the
+    public API boundary.
     """
 
     #: registry key; subclasses set this to a short lowercase name.
     name: str = ""
 
     @abc.abstractmethod
+    def reduce_rows(self, A: np.ndarray) -> np.ndarray:
+        """Distance of each row from its absolute differences.
+
+        ``A`` is ``|X - p|`` of shape ``(n, d)``; the result has shape
+        ``(n,)`` in ``A``'s dtype.  ``A`` must not be modified.
+        """
+
     def pairwise_to_point(self, X: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Distances from each row of ``X`` (n, d) to point ``p`` (d,)."""
+        diffs = X - p
+        np.abs(diffs, out=diffs)
+        return self.reduce_rows(diffs)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two individual points."""

@@ -14,7 +14,7 @@ by the budget.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .base import Metric, get_metric
 __all__ = [
     "distances_to_point",
     "cross_distances",
+    "distances_and_diffs",
     "pairwise_distances",
     "per_dimension_average_distance",
 ]
@@ -60,14 +61,7 @@ def cross_distances(X: np.ndarray, anchors: np.ndarray,
     X = as_working(X)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=X.dtype))
     n = X.shape[0]
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("kernel.distance_rows", n * anchors.shape[0])
-        # bytes the kernel streams: the (n, d) block read once per
-        # anchor plus the (n, m) output written, in the working dtype
-        tracer.count("kernel.distance_bytes",
-                     n * anchors.shape[0] * (X.shape[1] + 1)
-                     * X.dtype.itemsize)
+    _count_distance_work(X, anchors.shape[0])
     out = np.empty((n, anchors.shape[0]), dtype=X.dtype)
     chunk = resolve_row_chunk(n, X.shape[1], memory_budget_bytes,
                               itemsize=X.dtype.itemsize)
@@ -80,6 +74,42 @@ def cross_distances(X: np.ndarray, anchors: np.ndarray,
         for j, a in enumerate(anchors):
             out[start:start + chunk, j] = m.pairwise_to_point(block, a)
     return out
+
+
+def distances_and_diffs(X: np.ndarray, p, metric: MetricLike = "euclidean",
+                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Distances from the rows of ``X`` to ``p``, and the ``|X - p|`` behind them.
+
+    ``A = |X - p|`` is computed once, in place, in ``X``'s working
+    dtype; the distances are the metric's row reduction of ``A``,
+    bit-identical to ``cross_distances(X, p[None], metric)[:, 0]``.
+    ``A`` is returned so a caller can reduce it again.  When ``A`` would
+    exceed the memory budget, the distances come from the row-chunked
+    :func:`cross_distances` and ``A`` is ``None``.
+    """
+    m = get_metric(metric)
+    X = as_working(X)
+    p = np.asarray(p, dtype=X.dtype).ravel()
+    if resolve_row_chunk(X.shape[0], X.shape[1],
+                         itemsize=X.dtype.itemsize) is not None:
+        # an owned copy, not a strided view of the (n, 1) result
+        return cross_distances(X, p, m)[:, 0].copy(), None
+    _count_distance_work(X, 1)
+    diffs = X - p
+    np.abs(diffs, out=diffs)
+    return m.reduce_rows(diffs), diffs
+
+
+def _count_distance_work(X: np.ndarray, n_anchors: int) -> None:
+    """Trace counters for ``n_anchors`` distance columns over ``X``."""
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.count("kernel.distance_rows", X.shape[0] * n_anchors)
+        # bytes the kernel streams: the (n, d) block read once per
+        # anchor plus the (n, m) output written, in the working dtype
+        tracer.count("kernel.distance_bytes",
+                     X.shape[0] * n_anchors * (X.shape[1] + 1)
+                     * X.dtype.itemsize)
 
 
 def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,

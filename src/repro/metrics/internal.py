@@ -26,6 +26,7 @@ __all__ = ["projected_objective", "segmental_silhouette"]
 
 def projected_objective(X, labels, dimensions: Mapping[int, Sequence[int]]) -> float:
     """The paper's objective for any labeling + dimension assignment."""
+    X = check_array(X, name="X")
     k = (max(dimensions) + 1) if dimensions else 0
     dim_sets = [tuple(dimensions[i]) for i in range(k)]
     return evaluate_clusters(X, labels, dim_sets)

@@ -3,20 +3,23 @@
 Each CLARANS vertex visit needs four expensive products, all of which
 are column-separable by medoid:
 
-* the ``(N, k)`` full-dimensional distance matrix behind the localities
-  (one column per medoid row);
+* the full-dimensional distance columns behind the localities (one
+  per medoid row);
 * the locality member sets (one per medoid, determined by the medoid's
   distance column and its radius ``delta_i``);
 * the per-medoid dimension statistics ``X_{i,.}`` (determined by the
   locality members);
-* the ``(N, k)`` segmental assignment matrix (one column per
+* the segmental assignment columns (one per
   ``(medoid row, dimension set)`` pair).
 
 A vertex swap replaces only the *bad* medoids (typically 1–2 of ``k``),
 so :class:`IterativeCache` keeps each product keyed by the quantities
 that fully determine it and recomputes only what a swap invalidated.
-Misses are computed by the exact same kernels as the uncached path, so
-results are **bit-identical** — the cache is a pure wall-clock
+Stored columns are read-only and handed out as they are, never copied
+into an ``(N, k)`` matrix.  A new medoid ``m`` reads ``|X - m|`` once
+for both its distance column and its statistics row.  Every value is
+the same IEEE computation on the same operands as in the uncached path,
+so results are **bit-identical** — the cache is a pure wall-clock
 optimisation.
 
 Memory is bounded: every store is an LRU evicting from the cold end
@@ -29,17 +32,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..distance.base import Metric, get_metric
-from ..distance.matrix import cross_distances, per_dimension_average_distance
+from ..distance.matrix import (distances_and_diffs,
+                               per_dimension_average_distance)
 from ..obs import get_tracer
 from ..robustness.guards import DEFAULT_MEMORY_BUDGET_BYTES
 from .kernels import segmental_columns
 
-__all__ = ["CacheStats", "IterativeCache"]
+__all__ = ["CacheStats", "IterativeCache", "select_locality"]
 
 MetricLike = Union[str, Metric]
 
@@ -70,6 +74,26 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": round(self.hit_rate, 4),
         }
+
+
+def select_locality(column: np.ndarray, delta: np.floating, row: int,
+                    min_size: int) -> np.ndarray:
+    """Locality of the medoid at ``row`` from its distance column.
+
+    The points within ``delta`` of the medoid, the medoid itself
+    excluded; when fewer than ``min_size`` qualify, the nearest
+    ``min_size`` other points instead.  ``delta`` keeps the column's
+    dtype, so the compare rounds nothing.
+    """
+    mask = column <= delta
+    mask[row] = False
+    members = np.flatnonzero(mask)
+    if members.size < min_size:
+        order = np.argsort(column, kind="stable")
+        order = order[order != row]
+        # a copy: a cached prefix view would keep all N indices alive
+        members = order[:min_size].copy()
+    return members
 
 
 class _LruStore:
@@ -189,53 +213,75 @@ class IterativeCache:
 
     # ------------------------------------------------------------------
     def distance_columns(self, X: np.ndarray, medoid_indices: np.ndarray,
-                         metric: MetricLike) -> np.ndarray:
-        """``(N, k)`` full-dimensional distances to each medoid row.
+                         metric: MetricLike, *,
+                         deltas: np.ndarray,
+                         min_size: int) -> List[np.ndarray]:
+        """The ``k`` full-dimensional distance columns ``d(X, X[row])``.
 
-        Bit-identical to ``cross_distances(X, X[medoid_indices])``:
-        misses go through that very kernel, one batch for all missing
-        columns.
+        Stored columns are handed out as they are, read-only, in
+        ``X``'s working dtype; each is bit-identical to the matching
+        column of ``cross_distances(X, X[medoid_indices])``.  A miss
+        reads ``A = |X - X[row]|`` once
+        (:func:`~repro.distance.matrix.distances_and_diffs`); with the
+        medoids' locality radii ``deltas``, the same ``A`` also gives
+        a new medoid's locality members and its ``X_{i,.}`` statistics
+        row, stored under their usual keys.  ``A`` is dropped before
+        the next medoid, so one ``(N, d)`` temporary is alive at a
+        time.
         """
         self.bind(X)
-        medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
         mkey = self._metric_key(metric)
-        # columns are held (and the batch assembled) in X's working
-        # dtype; byte accounting via .nbytes means a float32 run fits
-        # about twice the columns in the same budget
-        out = np.empty((X.shape[0], medoid_indices.size), dtype=X.dtype)
-        missing = []
-        for j, row in enumerate(medoid_indices):
-            col = self._distance.get((int(row), mkey))
+        columns: List[np.ndarray] = []
+        computed = 0
+        for j, row in enumerate(np.asarray(medoid_indices,
+                                           dtype=np.intp).tolist()):
+            col = self._distance.get((row, mkey))
             if col is None:
-                missing.append(j)
-            else:
-                out[:, j] = col
-        if missing:
-            fresh = cross_distances(X, X[medoid_indices[missing]], metric)
-            for slot, j in enumerate(missing):
-                # store an owned copy: a view would keep the whole miss
-                # batch alive while nbytes counts a single column
-                col = fresh[:, slot].copy()
-                out[:, j] = col
-                self._distance.put(
-                    (int(medoid_indices[j]), mkey), col
-                )
+                computed += 1
+                col, diffs = distances_and_diffs(X, X[row], metric)
+                col.flags.writeable = False
+                self._distance.put((row, mkey), col)
+                if diffs is not None:  # None: A was over the memory budget
+                    self._fill_locality(diffs, col, row, deltas[j],
+                                        min_size, metric)
+                # drop A now: the next miss allocates its own
+                del diffs
+            columns.append(col)
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.count("cache.distance_computed", len(missing))
-            tracer.count("cache.distance_served",
-                         medoid_indices.size - len(missing))
-        return out
+            tracer.count("cache.distance_computed", computed)
+            tracer.count("cache.distance_served", len(columns) - computed)
+        return columns
+
+    def _fill_locality(self, diffs: np.ndarray, column: np.ndarray, row: int,
+                       delta: np.floating, min_size: int,
+                       metric: MetricLike) -> None:
+        """Locality members and statistics row of a new medoid from ``A``.
+
+        ``diffs[members]`` equals ``|X[members] - X[row]|`` elementwise,
+        so the row is bit-identical to
+        :func:`~repro.distance.matrix.per_dimension_average_distance`'s
+        gather path.
+        """
+        members = self.locality_members(row, delta, min_size, metric)
+        if members is None:
+            members = select_locality(column, delta, row, min_size)
+            self.store_locality_members(row, delta, min_size, metric,
+                                        members)
+        key = (int(row), float(delta), int(min_size), self._metric_key(metric))
+        if self._stats.get(key) is None:
+            self._stats.put(key, diffs[members].mean(axis=0, dtype=np.float64))
 
     # ------------------------------------------------------------------
     def segmental_matrix(self, X: np.ndarray, medoid_indices: np.ndarray,
-                         dim_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """``(N, k)`` segmental assignment matrix with column reuse.
+                         dim_sets: Sequence[Sequence[int]]) -> List[np.ndarray]:
+        """The ``k`` segmental assignment columns, with column reuse.
 
         A column is reused when its medoid kept both its row *and* its
-        dimension set since it was computed; misses run through the
-        kernel in one sub-batch (each column depends only on its own
-        medoid and dimension set, so sub-batching preserves bits).
+        dimension set since it was computed; stored columns are handed
+        out as they are, read-only.  Misses run through the kernel in
+        one sub-batch (each column depends only on its own medoid and
+        dimension set, so sub-batching preserves bits).
         """
         self.bind(X)
         medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
@@ -243,31 +289,28 @@ class IterativeCache:
             (int(row), tuple(int(d) for d in dims))
             for row, dims in zip(medoid_indices, dim_sets)
         ]
-        # column-major like the kernel's output, so every column copy
-        # below is contiguous
-        out = np.empty((medoid_indices.size, X.shape[0]), dtype=X.dtype).T
-        missing = []
-        for j, key in enumerate(keys):
-            col = self._segmental.get(key)
-            if col is None:
-                missing.append(j)
-            else:
-                out[:, j] = col
+        columns: List[Optional[np.ndarray]] = [
+            self._segmental.get(key) for key in keys
+        ]
+        missing = [j for j, col in enumerate(columns) if col is None]
         if missing:
             fresh = segmental_columns(
                 X, X[medoid_indices[missing]],
                 [dim_sets[j] for j in missing],
             )
             for slot, j in enumerate(missing):
-                col = fresh[:, slot].copy()  # owned, as in distance_columns
-                out[:, j] = col
+                # store an owned copy: a view would keep the whole miss
+                # batch alive while nbytes counts a single column
+                col = fresh[:, slot].copy()
+                col.flags.writeable = False
                 self._segmental.put(keys[j], col)
+                columns[j] = col
         tracer = get_tracer()
         if tracer.enabled:
             tracer.count("cache.segmental_computed", len(missing))
             tracer.count("cache.segmental_served",
                          medoid_indices.size - len(missing))
-        return out
+        return columns  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def locality_members(self, row: int, delta: float, min_size: int,
@@ -292,7 +335,9 @@ class IterativeCache:
                         metric: MetricLike) -> np.ndarray:
         """The ``(k, d)`` matrix ``X_{i,j}``, one cached row per medoid.
 
-        Misses call the same
+        Rows of new medoids were stored by :meth:`distance_columns`.
+        The remaining misses (retained medoids whose radius changed)
+        call the same
         :func:`~repro.distance.matrix.per_dimension_average_distance`
         the uncached :func:`~repro.core.dimensions.dimension_statistics`
         uses, so rows are bit-identical.

@@ -26,7 +26,8 @@ as an oracle).
 
 **Column-major output.**  The result is an ``(n, k)`` matrix allocated
 as ``np.empty((k, n)).T``: the same shape as before, but each medoid's
-column is contiguous.  Its consumers work column by column —
+column is contiguous.  Its consumers take it as its ``k`` columns
+(``dist.T``), just as they take the cache's stored columns —
 :func:`nearest_medoid` replaces the row-wise ``np.argmin``, and the
 outlier test ANDs ``k`` column compares.
 
@@ -39,7 +40,7 @@ blocks are likewise independent.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +49,12 @@ from ..exceptions import ParameterError
 from ..obs import get_tracer
 from ..robustness.guards import resolve_row_chunk
 
-__all__ = ["build_dims_layout", "segmental_columns", "nearest_medoid"]
+__all__ = ["Columns", "build_dims_layout", "segmental_columns",
+           "nearest_medoid"]
+
+#: ``k`` distance columns of equal length: a list of ``(n,)`` arrays, or
+#: a ``(k, n)`` array such as the transpose of a column-major matrix.
+Columns = Union[np.ndarray, Sequence[np.ndarray]]
 
 #: Bytes of ``X`` one row block spans.  Selecting the dimensions of a
 #: transposed block reads it once per selected dimension, so a block
@@ -201,23 +207,24 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
     return out
 
 
-def nearest_medoid(dist: np.ndarray) -> np.ndarray:
-    """Column index of each row's smallest entry, as int64 labels.
+def nearest_medoid(columns: Columns) -> np.ndarray:
+    """Index of each row's nearest medoid, as int64 labels.
 
-    Equivalent to ``np.argmin(dist, axis=1)`` on NaN-free input,
-    including its first-index rule on ties: a label moves to column
-    ``i`` only where ``dist[:, i]`` is strictly below the running
-    minimum.  It scans whole columns, which is what the column-major
-    matrices of :func:`segmental_columns` are laid out for.
+    ``columns[i]`` holds every point's distance to medoid ``i``: the
+    cache's list of stored columns, or a column-major ``(n, k)`` matrix
+    passed as its columns, ``dist.T``.  Equivalent to
+    ``np.argmin(dist, axis=1)`` on NaN-free input, including its
+    first-index rule on ties: a label moves to column ``i`` only where
+    ``columns[i]`` is strictly below the running minimum.
     """
-    n, k = dist.shape
+    k = len(columns)
     if k == 0:
         raise ParameterError("need at least one medoid column")
-    labels = np.zeros(n, dtype=np.int64)
-    best = dist[:, 0].copy()
-    closer = np.empty(n, dtype=bool)
+    best = columns[0].copy()
+    labels = np.zeros(best.shape[0], dtype=np.int64)
+    closer = np.empty(best.shape[0], dtype=bool)
     for i in range(1, k):
-        col = dist[:, i]
+        col = columns[i]
         np.less(col, best, out=closer)
         np.putmask(labels, closer, i)
         np.minimum(best, col, out=best)

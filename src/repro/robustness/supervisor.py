@@ -640,11 +640,16 @@ def _terminate_pool(pool: Any, kill: bool) -> None:
     Killing is the only way to reclaim a *running* future — executor
     ``cancel`` only reaches queued ones — so the hang and signal paths
     use it.  The clean path (nothing in flight) joins workers normally.
+    On return the killed workers are reaped: the executor's manager
+    thread reaps them too, and a poll racing its ``waitpid`` reads a
+    reaped worker as alive, so that thread is joined last.
     """
     if not kill:
         pool.shutdown(wait=True, cancel_futures=True)
         return
     procs = list((getattr(pool, "_processes", None) or {}).values())
+    # shutdown() drops the executor's reference to its manager thread
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         try:
@@ -657,6 +662,8 @@ def _terminate_pool(pool: Any, kill: bool) -> None:
             proc.join(timeout=5)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+    if manager is not None:
+        manager.join(timeout=5)
 
 
 def supervise_restarts(X: np.ndarray,

@@ -68,27 +68,27 @@ class TestDetectOutliers:
     def test_outside_every_sphere(self):
         dist = np.array([[5.0, 7.0], [1.0, 9.0]])
         spheres = np.array([2.0, 3.0])
-        mask = detect_outliers(dist, spheres)
+        mask = detect_outliers(dist.T, spheres)
         assert mask.tolist() == [True, False]
 
     def test_boundary_not_outlier(self):
         dist = np.array([[2.0, 9.0]])
         spheres = np.array([2.0, 3.0])
-        assert detect_outliers(dist, spheres).tolist() == [False]
+        assert detect_outliers(dist.T, spheres).tolist() == [False]
 
     def test_equality_on_every_sphere_not_outlier(self):
         # the comparison is strictly >: sitting exactly on every sphere
         # keeps the point assigned
         dist = np.array([[2.0, 3.0]])
         spheres = np.array([2.0, 3.0])
-        assert detect_outliers(dist, spheres).tolist() == [False]
+        assert detect_outliers(dist.T, spheres).tolist() == [False]
         nudged = np.nextafter(dist, np.inf)
-        assert detect_outliers(nudged, spheres).tolist() == [True]
+        assert detect_outliers(nudged.T, spheres).tolist() == [True]
 
     def test_infinite_sphere_suppresses_outliers(self):
         dist = np.array([[1e12]])
         spheres = np.array([np.inf])
-        assert detect_outliers(dist, spheres).tolist() == [False]
+        assert detect_outliers(dist.T, spheres).tolist() == [False]
 
 
 class TestRefineClusters:

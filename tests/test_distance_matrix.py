@@ -41,8 +41,8 @@ class TestRegistry:
         class Half(Metric):
             name = "half-manhattan"
 
-            def pairwise_to_point(self, X, p):
-                return np.abs(X - p).sum(axis=1) / 2
+            def reduce_rows(self, A):
+                return A.sum(axis=1) / 2
 
         register_metric(Half())
         assert get_metric("half-manhattan")([0, 0], [2, 2]) == 2.0
@@ -50,8 +50,8 @@ class TestRegistry:
 
     def test_register_requires_name(self):
         class NoName(Metric):
-            def pairwise_to_point(self, X, p):
-                return np.zeros(X.shape[0])
+            def reduce_rows(self, A):
+                return np.zeros(A.shape[0])
 
         with pytest.raises(ParameterError, match="non-empty"):
             register_metric(NoName())

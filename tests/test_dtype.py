@@ -162,10 +162,13 @@ class TestKernelDtypes:
     def test_cache_holds_columns_in_the_working_dtype(self):
         X = np.random.default_rng(5).normal(size=(40, 4)).astype(np.float32)
         cache = IterativeCache()
-        cols = cache.distance_columns(X, np.array([0, 1]), "euclidean")
-        assert cols.dtype == np.float32
+        rows = np.array([0, 1])
+        radii = np.full(2, cross_distances(X[:1], X[1:2])[0, 0])
+        cols = cache.distance_columns(X, rows, "euclidean", deltas=radii,
+                                      min_size=2)
+        assert all(col.dtype == np.float32 for col in cols)
         seg = cache.segmental_matrix(X, np.array([0, 1]), [(0, 1), (2, 3)])
-        assert seg.dtype == np.float32
+        assert all(col.dtype == np.float32 for col in seg)
 
     def test_shared_matrix_publishes_float32_without_widening(self):
         X = np.random.default_rng(6).normal(size=(5, 3)).astype(np.float32)

@@ -1,7 +1,5 @@
 """Tests for the CLARA-style fit_sample_size mode."""
 
-import gc
-
 import numpy as np
 import pytest
 
@@ -41,26 +39,19 @@ class TestFitSampleSize:
                               big.points[result.medoid_indices])
 
     def test_faster_hill_climbing(self, big):
-        # the fastest of three fits per side, taken alternately and with
-        # the cyclic GC paused: one ~40 ms wall time per side is at the
-        # mercy of host noise and of collections of the whole test
-        # session's objects
-        full_fit, sampled_fit = float("inf"), float("inf")
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(3):
-                full = proclus(big.points, 3, 4, seed=71, max_bad_tries=15,
-                               keep_history=False)
-                sampled = proclus(big.points, 3, 4, seed=71,
-                                  max_bad_tries=15, fit_sample_size=1500,
-                                  keep_history=False)
-                full_fit = min(full_fit, full.phase_seconds["iterative"])
-                sampled_fit = min(sampled_fit,
-                                  sampled.phase_seconds["sample_fit"])
-        finally:
-            gc.enable()
-        assert sampled_fit < full_fit
+        # the claim is asserted on work, not on wall time: two ~30 ms
+        # fits raced by wall clock fail on host noise.  The kernels'
+        # own row counters (one N-row column per distance or segmental
+        # column computed) measure the work deterministically;
+        # benchmarks/test_bench_large_mode.py keeps the time claim.
+        def kernel_rows(**kwargs):
+            result = proclus(big.points, 3, 4, seed=71, max_bad_tries=15,
+                             keep_history=False, profile=True, **kwargs)
+            counters = result.profile["counters"]
+            return (counters["kernel.distance_rows"]
+                    + counters["kernel.segmental_rows"])
+
+        assert kernel_rows(fit_sample_size=1500) < kernel_rows()
 
     def test_sample_larger_than_n_is_noop_path(self, big):
         a = proclus(big.points[:500], 3, 4, seed=1, max_bad_tries=5,

@@ -20,6 +20,15 @@ from repro.perf import (
 from repro.robustness import Deadline
 
 
+def _columns(cache, X, rows, metric):
+    """``cache.distance_columns`` with the medoids' locality radii."""
+    rows = np.asarray(rows)
+    radii = cross_distances(X[rows], X[rows], metric)
+    np.fill_diagonal(radii, np.inf)
+    return cache.distance_columns(X, rows, metric,
+                                  deltas=radii.min(axis=1), min_size=2)
+
+
 class TestDimsLayout:
     def test_layout_concatenates_in_order(self):
         flat, starts, counts = build_dims_layout([(0, 2), (1,), (3, 4, 5)])
@@ -97,28 +106,32 @@ class TestIterativeCache:
         cache = IterativeCache()
         rows = np.array([5, 40, 99])
         expected = cross_distances(X, X[rows], "euclidean")
-        first = cache.distance_columns(X, rows, "euclidean")
-        again = cache.distance_columns(X, rows, "euclidean")
-        assert np.array_equal(first, expected)
-        assert np.array_equal(again, expected)
+        first = _columns(cache, X, rows, "euclidean")
+        again = _columns(cache, X, rows, "euclidean")
+        assert np.array_equal(np.column_stack(first), expected)
+        assert np.array_equal(np.column_stack(again), expected)
+        # a hit hands out the stored column itself, not a copy
+        assert all(a is b for a, b in zip(first, again))
         assert cache.stats["distance"].hits == 3
         assert cache.stats["distance"].misses == 3
 
     def test_partial_miss_recomputes_only_new_rows(self, X):
         cache = IterativeCache()
-        cache.distance_columns(X, np.array([5, 40]), "euclidean")
-        out = cache.distance_columns(X, np.array([5, 40, 99]), "euclidean")
+        _columns(cache, X, np.array([5, 40]), "euclidean")
+        out = _columns(cache, X, np.array([5, 40, 99]), "euclidean")
         assert cache.stats["distance"].misses == 3  # 2 cold + 1 new
-        assert np.array_equal(out, cross_distances(X, X[[5, 40, 99]],
-                                                   "euclidean"))
+        assert np.array_equal(np.column_stack(out),
+                              cross_distances(X, X[[5, 40, 99]], "euclidean"))
 
     def test_metrics_do_not_collide(self, X):
         cache = IterativeCache()
         rows = np.array([0, 1])
-        e = cache.distance_columns(X, rows, "euclidean")
-        m = cache.distance_columns(X, rows, "manhattan")
-        assert np.array_equal(e, cross_distances(X, X[rows], "euclidean"))
-        assert np.array_equal(m, cross_distances(X, X[rows], "manhattan"))
+        e = _columns(cache, X, rows, "euclidean")
+        m = _columns(cache, X, rows, "manhattan")
+        assert np.array_equal(np.column_stack(e),
+                              cross_distances(X, X[rows], "euclidean"))
+        assert np.array_equal(np.column_stack(m),
+                              cross_distances(X, X[rows], "manhattan"))
 
     def test_segmental_keyed_by_row_and_dims(self, X):
         cache = IterativeCache()
@@ -126,11 +139,12 @@ class TestIterativeCache:
         a = cache.segmental_matrix(X, rows, [(0, 1), (2, 3)])
         # same rows, different dim set for medoid 1 -> one hit, one miss
         b = cache.segmental_matrix(X, rows, [(0, 1), (2, 4)])
-        assert np.array_equal(a[:, 0], b[:, 0])
+        assert b[0] is a[0]
         assert cache.stats["segmental"].hits == 1
         assert cache.stats["segmental"].misses == 3
         assert np.array_equal(
-            b, segmental_columns(X, X[rows], [(0, 1), (2, 4)])
+            np.column_stack(b),
+            segmental_columns(X, X[rows], [(0, 1), (2, 4)])
         )
 
     @staticmethod
@@ -144,8 +158,8 @@ class TestIterativeCache:
         # is the case where a slice of the batch is already contiguous.
         # Locality members may be views, but only of a same-sized buffer.
         direct = IterativeCache()
-        direct.distance_columns(X, np.array([5]), "euclidean")
-        direct.distance_columns(X, np.array([5, 40, 99]), "manhattan")
+        _columns(direct, X, np.array([5]), "euclidean")
+        _columns(direct, X, np.array([5, 40, 99]), "manhattan")
         direct.segmental_matrix(X, np.array([3]), [(0, 1)])
         direct.segmental_matrix(X, np.array([3, 60, 7]),
                                 [(0, 1), (2, 3), (1, 4, 5)])
@@ -162,27 +176,31 @@ class TestIterativeCache:
 
     def test_nbytes_is_the_sum_of_stored_arrays(self, X):
         cache = IterativeCache()
-        cache.distance_columns(X, np.array([5]), "euclidean")
+        _columns(cache, X, np.array([5]), "euclidean")
         cache.segmental_matrix(X, np.array([3, 60]), [(0, 1), (2, 3)])
         cache.segmental_matrix(X, np.array([3, 61]), [(0, 1), (2, 4)])
         stored = self._stored_arrays(cache)
         assert cache.nbytes == sum(a.nbytes for a in stored)
-        assert cache.nbytes == 4 * X.shape[0] * X.itemsize
+        # four columns, plus the lone medoid's locality (every other
+        # row: its radius is infinite) and its float64 statistics row
+        n, d = X.shape
+        assert cache.nbytes == (4 * n * X.itemsize + (n - 1) * 8 + d * 8)
 
     def test_bind_new_matrix_clears_stores(self, X, rng):
         cache = IterativeCache()
-        cache.distance_columns(X, np.array([0, 1]), "euclidean")
+        _columns(cache, X, np.array([0, 1]), "euclidean")
         assert cache.nbytes > 0
         Y = rng.normal(size=(50, 6))
-        out = cache.distance_columns(Y, np.array([0, 1]), "euclidean")
-        assert np.array_equal(out, cross_distances(Y, Y[[0, 1]], "euclidean"))
+        out = _columns(cache, Y, np.array([0, 1]), "euclidean")
+        assert np.array_equal(np.column_stack(out),
+                              cross_distances(Y, Y[[0, 1]], "euclidean"))
         assert cache.stats["distance"].misses == 4  # no stale reuse
 
     def test_discard_rows_invalidates(self, X):
         cache = IterativeCache()
-        cache.distance_columns(X, np.array([7, 8]), "euclidean")
+        _columns(cache, X, np.array([7, 8]), "euclidean")
         cache.discard_rows([7])
-        cache.distance_columns(X, np.array([7, 8]), "euclidean")
+        _columns(cache, X, np.array([7, 8]), "euclidean")
         assert cache.stats["distance"].hits == 1  # only row 8 survived
         assert cache.stats["distance"].misses == 3
 
@@ -191,21 +209,25 @@ class TestIterativeCache:
         cache = IterativeCache(memory_budget_bytes=X.shape[0] * 8 + 1)
         rows = np.array([0, 10, 20, 30])
         for _ in range(3):
-            out = cache.distance_columns(X, rows, "euclidean")
+            out = _columns(cache, X, rows, "euclidean")
             assert np.array_equal(
-                out, cross_distances(X, X[rows], "euclidean")
+                np.column_stack(out), cross_distances(X, X[rows], "euclidean")
             )
         assert cache.stats["distance"].evictions > 0
-        assert cache.nbytes <= X.shape[0] * 8 * 2  # never far past budget
+        # each store keeps to its own budget: never far past it
+        budget = cache.memory_budget_bytes
+        assert all(store.nbytes <= 2 * budget for store in cache._stores)
+        assert cache._distance.nbytes <= X.shape[0] * 8 * 2
 
     def test_stats_dict_shape(self, X):
         cache = IterativeCache()
-        cache.distance_columns(X, np.array([0]), "euclidean")
+        _columns(cache, X, np.array([0]), "euclidean")
         d = cache.stats_dict()
         assert set(d) == {"distance", "segmental", "locality", "stats",
                           "memory"}
         assert d["memory"]["bytes"] == cache.nbytes
-        assert d["memory"]["entries"] == 1
+        # the column, plus the new medoid's locality and statistics row
+        assert d["memory"]["entries"] == 3
 
 
 class TestCacheReport:
@@ -215,11 +237,13 @@ class TestCacheReport:
     def test_aggregates_stores(self):
         cache = IterativeCache()
         X = np.arange(40.0).reshape(10, 4)
-        cache.distance_columns(X, np.array([0, 1]), "euclidean")
-        cache.distance_columns(X, np.array([0, 1]), "euclidean")
+        _columns(cache, X, np.array([0, 1]), "euclidean")
+        _columns(cache, X, np.array([0, 1]), "euclidean")
         report = cache_report(cache.stats_dict())
-        assert report.hits == 2 and report.misses == 2
-        assert report.hit_rate == 0.5
+        # two column hits; two misses in each of the distance, locality
+        # and statistics stores (a new medoid fills all three)
+        assert report.hits == 2 and report.misses == 6
+        assert report.hit_rate == 0.25
         assert not report.thrashing
         assert "distance" in report.per_store
         assert "hit rate" in report.to_text()

@@ -7,8 +7,9 @@ order instead of gathering, and must match the reference bit for bit in
 both working dtypes — across the pairwise-summation boundaries (7/8/9
 terms, 128/129/130 terms), row chunking, ``out=`` memory orders and
 non-contiguous inputs.  The consumers of its column-major matrices,
-:func:`nearest_medoid` and :func:`detect_outliers`, are checked against
-the row-wise ``np.argmin`` and ``np.all`` they replace.
+:func:`nearest_medoid` and :func:`detect_outliers`, take a matrix as
+its columns (``dist.T``) or the cache's list of columns, and are
+checked against the row-wise ``np.argmin`` and ``np.all`` they replace.
 """
 
 import numpy as np
@@ -158,21 +159,22 @@ class TestNearestMedoid:
     def test_matches_argmin_on_ties(self, n, k, data):
         dist = data.draw(arrays(np.float64, (n, k), elements=TIE_VALUES))
         expected = np.argmin(dist, axis=1)
-        for layout in (np.ascontiguousarray(dist), np.asfortranarray(dist)):
-            labels = nearest_medoid(layout)
+        for columns in (np.ascontiguousarray(dist).T,
+                        np.asfortranarray(dist).T, list(dist.T.copy())):
+            labels = nearest_medoid(columns)
             assert labels.dtype == np.int64
             assert np.array_equal(labels, expected)
 
     def test_signed_zero_keeps_first_index(self):
         dist = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
-        assert nearest_medoid(dist).tolist() == [0, 0, 1]
-        assert nearest_medoid(dist).tolist() == np.argmin(dist, 1).tolist()
+        assert nearest_medoid(dist.T).tolist() == [0, 0, 1]
+        assert nearest_medoid(dist.T).tolist() == np.argmin(dist, 1).tolist()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_argmin_on_kernel_output(self, dtype):
         X, medoids, dim_sets = _workload(2, dtype, 500, 10, [2, 3, 2, 4])
         dist = segmental_columns(np.round(X), np.round(medoids), dim_sets)
-        assert np.array_equal(nearest_medoid(dist), np.argmin(dist, axis=1))
+        assert np.array_equal(nearest_medoid(dist.T), np.argmin(dist, axis=1))
 
 
 class TestDetectOutliers:
@@ -184,7 +186,8 @@ class TestDetectOutliers:
             elements=st.sampled_from([0.0, 1.0, 2.0, np.inf])))
         dist = data.draw(arrays(np.float64, (n, k), elements=TIE_VALUES))
         expected = np.all(dist > spheres[None, :], axis=1)
-        for layout in (np.ascontiguousarray(dist), np.asfortranarray(dist)):
-            mask = detect_outliers(layout, spheres)
+        for columns in (np.ascontiguousarray(dist).T,
+                        np.asfortranarray(dist).T, list(dist.T.copy())):
+            mask = detect_outliers(columns, spheres)
             assert mask.dtype == bool
             assert np.array_equal(mask, expected)
