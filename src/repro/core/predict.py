@@ -21,13 +21,28 @@ Because the distance kernel, the spheres, and the nearest-medoid scan
 (with its first-index tie-break) are the ones the fit itself used,
 ``predict(X_train)`` on a clean fit is **bit-identical** to
 ``result.labels`` — across working dtypes, cache on/off, and
-serial/parallel fits (test-enforced).  Queries run through the chunked
-memory-budget kernel, compute natively in the fitted working dtype, and
-honour an optional per-call wall-clock
+serial/parallel fits (test-enforced).  Queries compute natively in the
+fitted working dtype.
+
+**One pass per row block.**  :func:`predict_points` walks the batch in
+equal row blocks sized by the segmental kernel's own rule
+(:func:`~repro.perf.kernels.row_block_size`), so every
+``segmental_columns`` call runs exactly one kernel block.  Each block
+is checked for NaN/inf (under ``on_bad_values="raise"``), gets its
+``k`` distance columns in a reused scratch, and is labelled by the
+nearest-medoid scan and the outlier test while those columns are still
+in cache; no ``(N, k)`` matrix is built unless ``return_distances``
+asks for it.  Rows are independent, so block boundaries never change a
+bit of the output.
+
+Each block first polls an optional per-call wall-clock
 :class:`~repro.robustness.guards.Deadline`: when the budget expires
 mid-batch the partial result is *discarded* and a typed
 :class:`~repro.exceptions.BudgetExceededError` is raised — a serving
 layer must never return half-assigned batches as if they were whole.
+A deadline that expires before the block holding a bad value is
+reached raises that error rather than the bad value's
+:class:`~repro.exceptions.ParameterError`.
 """
 
 from __future__ import annotations
@@ -41,7 +56,8 @@ import numpy as np
 from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import DegenerateDataError, ParameterError
 from ..obs import get_tracer
-from ..perf.kernels import nearest_medoid, segmental_columns
+from ..perf.kernels import (nearest_medoid, row_block_size,
+                            segmental_columns)
 from ..robustness.guards import Deadline
 from ..validation import check_array, check_positive_int
 from .refinement import detect_outliers, spheres_of_influence
@@ -52,9 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["PredictReport", "predict_points", "normalize_dimension_sets",
            "DEFAULT_PREDICT_CHUNK"]
 
-#: Row-chunk granularity of the predict loop.  Chunk boundaries never
-#: change a bit of the output (segment reductions are row-independent);
-#: they bound peak memory and set how often the deadline is polled.
+#: Most rows in one block of the predict loop.  The block is the
+#: segmental kernel's own (about 1 MiB of queries), capped by this or
+#: by a caller's ``chunk_size``.  Block boundaries never change a bit of
+#: the output (rows are independent); they bound peak memory and set
+#: how often the deadline is polled.
 DEFAULT_PREDICT_CHUNK: int = 8192
 
 DimensionSets = Union[Mapping[int, Sequence[int]], Sequence[Sequence[int]]]
@@ -156,7 +174,14 @@ def _coerce_queries(X: Any, d: int, dtype: np.dtype,
     (NaN/inf) is *not* checked here; that is the bad-value policy's job.
     """
     try:
-        arr = np.asarray(X, dtype=dtype)
+        arr = np.asarray(X)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"query batch is not numeric matrix data: {exc}")
+    # casting would drop the imaginary part with only a ComplexWarning
+    if arr.dtype.kind == "c":
+        raise ParameterError("query batch is complex; expected real values")
+    try:
+        arr = arr.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"query batch is not numeric matrix data: {exc}")
     if arr.ndim == 1:
@@ -216,7 +241,9 @@ def predict_points(
     spheres:
         Precomputed spheres of influence (one per medoid).  ``None``
         recomputes them from the model — a server computes them once at
-        model-load time and passes them in on every request.
+        model-load time and passes them in on every request.  NaN or
+        negative spheres raise :class:`~repro.exceptions.ParameterError`;
+        ``inf`` (a lone medoid's sphere) is accepted.
     on_bad_values:
         NaN/inf policy for the *queries*: ``"raise"`` (default) rejects
         the batch with :class:`~repro.exceptions.ParameterError`;
@@ -226,13 +253,14 @@ def predict_points(
         Reject batches larger than this (request-size admission for the
         serving layer).
     chunk_size:
-        Rows per kernel call (default :data:`DEFAULT_PREDICT_CHUNK`).
-        Never changes the output bits; bounds memory and sets the
-        deadline polling granularity.
+        Most rows per block (default :data:`DEFAULT_PREDICT_CHUNK`); the
+        kernel's own block size applies when it is smaller.  Never
+        changes the output bits; bounds memory and sets the deadline
+        polling granularity.
     memory_budget_bytes:
         Forwarded to the segmental kernel's internal row-chunking guard.
     deadline:
-        Optional wall-clock budget.  Expiry *between* chunks discards
+        Optional wall-clock budget.  Expiry *between* blocks discards
         the partial batch and raises
         :class:`~repro.exceptions.BudgetExceededError` — the caller
         gets all assignments or none.
@@ -256,18 +284,19 @@ def predict_points(
         if sphere_arr.shape != (k,):
             raise ParameterError(
                 f"spheres must have shape ({k},); got {sphere_arr.shape}")
+        # a NaN sphere would silently switch the outlier rule off (NaN
+        # fails >= too); inf is a lone medoid's sphere and stays legal
+        if not bool((sphere_arr >= 0).all()):
+            raise ParameterError(
+                f"spheres must be non-negative and not NaN; got "
+                f"{sphere_arr.tolist()}")
 
     queries = _coerce_queries(X, d, medoid_arr.dtype, max_points)
     n_original = int(queries.shape[0])
     report: Optional["SanitizationReport"] = None
-    if on_bad_values == "raise":
-        if not bool(np.isfinite(queries).all()):
-            raise ParameterError(
-                "query batch contains NaN or infinite values; pass "
-                "on_bad_values='drop', 'impute_median', or 'clip' to "
-                "sanitize"
-            )
-    else:
+    # "raise" checks finiteness block by block in the loop below
+    check_finite = on_bad_values == "raise"
+    if not check_finite:
         from ..robustness.sanitize import sanitize
 
         try:
@@ -288,31 +317,47 @@ def predict_points(
             )
 
     n = int(queries.shape[0])
-    if chunk_size is None:
-        step = min(DEFAULT_PREDICT_CHUNK, n)
-    else:
-        step = min(check_positive_int(chunk_size, name="chunk_size",
-                                      minimum=1), n)
+    cap = (DEFAULT_PREDICT_CHUNK if chunk_size is None
+           else check_positive_int(chunk_size, name="chunk_size", minimum=1))
+    # the kernel's own block rule, capped: each segmental_columns call
+    # below runs exactly one kernel block
+    step = row_block_size(n, d, sum(len(dims) for dims in dim_sets),
+                          queries.dtype.itemsize,
+                          memory_budget_bytes=memory_budget_bytes, cap=cap)
     tracer = get_tracer()
     # column-major, like the kernel's own output: each medoid's column
-    # is contiguous for the nearest-medoid scan and the outlier test
-    dist = np.empty((k, n), dtype=queries.dtype).T
+    # is contiguous for the nearest-medoid scan and the outlier test.
+    # Only return_distances keeps every block's columns; otherwise one
+    # block's worth is reused.
+    dist = np.empty((k, n if return_distances else step),
+                    dtype=queries.dtype).T
+    clean_labels = np.empty(n, dtype=np.int64)
     with tracer.span("predict", n_points=n, k=k) as span:
         for start in range(0, n, step):
             if deadline is not None:
                 deadline.check("predict")
             block = queries[start:start + step]
-            segmental_columns(
+            rows = block.shape[0]
+            if check_finite and not bool(np.isfinite(block).all()):
+                raise ParameterError(
+                    "query batch contains NaN or infinite values; pass "
+                    "on_bad_values='drop', 'impute_median', or 'clip' to "
+                    "sanitize"
+                )
+            at = start if return_distances else 0
+            block_dist = segmental_columns(
                 block, medoid_arr, dim_sets,
                 memory_budget_bytes=memory_budget_bytes,
-                out=dist[start:start + block.shape[0]],
+                out=dist[at:at + rows],
             )
+            # the block's k columns are still in cache for both scans
+            block_labels = nearest_medoid(block_dist.T)
+            if handle_outliers:
+                block_labels[detect_outliers(block_dist.T, sphere_arr)] = (
+                    OUTLIER_LABEL)
+            clean_labels[start:start + rows] = block_labels
         if deadline is not None:
             deadline.check("predict")
-        clean_labels = nearest_medoid(dist.T)
-        if handle_outliers:
-            outlier_mask = detect_outliers(dist.T, sphere_arr)
-            clean_labels[outlier_mask] = OUTLIER_LABEL
         span.set(n_outliers=int(np.count_nonzero(
             clean_labels == OUTLIER_LABEL)))
 

@@ -49,8 +49,8 @@ from ..exceptions import ParameterError
 from ..obs import get_tracer
 from ..robustness.guards import resolve_row_chunk
 
-__all__ = ["Columns", "build_dims_layout", "segmental_columns",
-           "nearest_medoid"]
+__all__ = ["Columns", "build_dims_layout", "row_block_size",
+           "segmental_columns", "nearest_medoid"]
 
 #: ``k`` distance columns of equal length: a list of ``(n,)`` arrays, or
 #: a ``(k, n)`` array such as the transpose of a column-major matrix.
@@ -89,6 +89,33 @@ def build_dims_layout(
     starts = np.zeros(counts.size, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
     return flat, starts, counts
+
+
+def row_block_size(n: int, d: int, n_selected: int, itemsize: int, *,
+                   memory_budget_bytes: Optional[int] = None,
+                   cap: Optional[int] = None) -> int:
+    """Rows per block of the segmental kernel's pass over ``n`` rows.
+
+    A block spans about ``_BLOCK_BYTES`` of an ``(n, d)`` matrix with
+    ``itemsize``-byte entries, fewer rows when the block's
+    ``(n_selected, rows)`` temporaries would exceed
+    ``memory_budget_bytes`` (see :mod:`repro.robustness.guards`), and
+    at most ``cap`` rows.  The ``n`` rows are then split into equal
+    blocks, so no short tail block pays the per-medoid call overhead
+    for a handful of rows.  Fed back in as ``n`` (other arguments
+    unchanged, ``cap`` aside), the result is one block: a caller
+    walking rows in blocks of this size runs :func:`segmental_columns`
+    as one kernel block per call.
+    """
+    step = max(1, _BLOCK_BYTES // (max(1, d) * itemsize))
+    chunk = resolve_row_chunk(n, n_selected, memory_budget_bytes,
+                              itemsize=itemsize)
+    if chunk is not None:
+        step = min(step, chunk)
+    if cap is not None:
+        step = min(step, cap)
+    n_blocks = max(1, -(-n // step))
+    return max(1, -(-n // n_blocks))
 
 
 def _sum_rows_like_reduceat(rows: np.ndarray) -> np.ndarray:
@@ -131,10 +158,10 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
     Column ``i`` is the Manhattan segmental distance from every row of
     ``X`` to ``medoids[i]`` relative to ``dim_sets[i]``.  The returned
     matrix is column-major (each column contiguous).  Rows are processed
-    in blocks spanning about ``_BLOCK_BYTES`` of ``X``, and in smaller
-    chunks when the ``(sum|D_i|, rows)`` temporaries would exceed
-    ``memory_budget_bytes`` (see :mod:`repro.robustness.guards`) —
-    identical values, bounded peak memory.
+    in the blocks :func:`row_block_size` sets: about ``_BLOCK_BYTES`` of
+    ``X``, fewer rows when the ``(sum|D_i|, rows)`` temporaries would
+    exceed ``memory_budget_bytes`` — identical values, bounded peak
+    memory.
 
     The kernel computes natively in ``X``'s working dtype (float32 in,
     float32 out).  Accumulation policy: each column sums only
@@ -182,15 +209,8 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
                 f"out has dtype {out.dtype.name}; expected the working "
                 f"dtype {X.dtype.name}"
             )
-    step = max(1, _BLOCK_BYTES // (max(1, X.shape[1]) * X.dtype.itemsize))
-    chunk = resolve_row_chunk(n, flat.size, memory_budget_bytes,
-                              itemsize=X.dtype.itemsize)
-    if chunk is not None:
-        step = min(step, chunk)
-    # equal blocks, so no short tail block pays the per-medoid call
-    # overhead for a handful of rows
-    n_blocks = max(1, -(-n // step))
-    step = max(1, -(-n // n_blocks))
+    step = row_block_size(n, X.shape[1], flat.size, X.dtype.itemsize,
+                          memory_budget_bytes=memory_budget_bytes)
     for start in range(0, n, step):
         diffs = X[start:start + step].T[flat]
         diffs -= centres
@@ -216,16 +236,23 @@ def nearest_medoid(columns: Columns) -> np.ndarray:
     ``np.argmin(dist, axis=1)`` on NaN-free input, including its
     first-index rule on ties: a label moves to column ``i`` only where
     ``columns[i]`` is strictly below the running minimum.
+
+    Every running label is below ``i`` when column ``i`` is scanned, so
+    the move is ``max(label, i * closer)``: branch-free, unlike a masked
+    store, and done in the narrowest unsigned type that holds ``k - 1``.
     """
     k = len(columns)
     if k == 0:
         raise ParameterError("need at least one medoid column")
     best = columns[0].copy()
-    labels = np.zeros(best.shape[0], dtype=np.int64)
-    closer = np.empty(best.shape[0], dtype=bool)
+    n = best.shape[0]
+    label_type = np.min_scalar_type(k - 1)
+    labels = np.zeros(n, dtype=label_type)
+    moved = np.empty(n, dtype=label_type)
     for i in range(1, k):
         col = columns[i]
-        np.less(col, best, out=closer)
-        np.putmask(labels, closer, i)
+        np.less(col, best, out=moved)  # 1 where column i is closer
+        np.multiply(moved, i, out=moved)
+        np.maximum(labels, moved, out=labels)
         np.minimum(best, col, out=best)
-    return labels
+    return labels.astype(np.int64)

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.refinement import detect_outliers
-from repro.perf.kernels import nearest_medoid, segmental_columns
+from repro.perf.kernels import (nearest_medoid, row_block_size,
+                                segmental_columns)
 
 DTYPES = st.sampled_from([np.float32, np.float64])
 # pairwise summation switches strategy at 8 and at 128 terms; the first
@@ -105,6 +106,28 @@ class TestMatchesReduceat:
             reference_segmental_columns(X, medoids, dim_sets))
 
 
+class TestRowBlockSize:
+    @given(st.integers(1, 10**6), st.integers(1, 100), st.integers(1, 600),
+           st.sampled_from([4, 8]),
+           st.sampled_from([None, 1, 100, 10_000, 1 << 20]),
+           st.one_of(st.none(), st.integers(1, 20_000)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_block_is_one_kernel_block(self, n, d, n_selected, itemsize,
+                                         budget, cap):
+        step = row_block_size(n, d, n_selected, itemsize,
+                              memory_budget_bytes=budget, cap=cap)
+        assert 1 <= step <= n
+        if cap is not None:
+            assert step <= cap
+        # equal blocks: the last one falls short of the others by fewer
+        # rows than there are blocks
+        n_blocks = -(-n // step)
+        assert n - (n_blocks - 1) * step > step - n_blocks
+        # a block handed to segmental_columns is walked as one block
+        assert row_block_size(step, d, n_selected, itemsize,
+                              memory_budget_bytes=budget) == step
+
+
 class TestLayoutAndOut:
     @pytest.fixture
     def workload(self):
@@ -164,6 +187,15 @@ class TestNearestMedoid:
             labels = nearest_medoid(columns)
             assert labels.dtype == np.int64
             assert np.array_equal(labels, expected)
+
+    def test_more_medoids_than_a_byte_holds(self):
+        # k > 256 keeps its running labels in uint16
+        rng = np.random.default_rng(4)
+        dist = rng.integers(0, 50, size=(400, 300)).astype(np.float64)
+        labels = nearest_medoid(dist.T)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.argmin(dist, axis=1))
+        assert labels.max() > 255
 
     def test_signed_zero_keeps_first_index(self):
         dist = np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])

@@ -9,13 +9,19 @@ the predict path *is* the refinement phase's assignment rule.
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import predict as predict_module
 from repro.core.predict import (DEFAULT_PREDICT_CHUNK, PredictReport,
                                 normalize_dimension_sets, predict_points)
 from repro.core.proclus import proclus
 from repro.core.refinement import spheres_of_influence
+from repro.perf.kernels import segmental_columns
 from repro.core.serialization import load_result, save_result
 from repro.exceptions import (BudgetExceededError, DataError, ParameterError)
 from repro.obs import Tracer, use_tracer, validate_trace_lines
@@ -256,6 +262,42 @@ class TestValidation:
         with pytest.raises(ParameterError, match="spheres"):
             result.predict_report(ds.points[:3], spheres=np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+    def test_nan_or_negative_spheres_rejected(self, fitted, bad):
+        _, result = fitted
+        spheres = np.ones(result.k)
+        spheres[-1] = bad
+        with pytest.raises(ParameterError, match="spheres"):
+            result.predict_report(np.zeros((3, 10)), spheres=spheres)
+
+    def test_all_nan_spheres_rejected(self, fitted):
+        _, result = fitted
+        with pytest.raises(ParameterError, match="spheres"):
+            result.predict_report(np.zeros((3, 10)),
+                                  spheres=np.full(result.k, np.nan))
+
+    def test_infinite_spheres_accepted(self, fitted):
+        ds, result = fitted
+        report = result.predict_report(ds.points,
+                                       spheres=np.full(result.k, np.inf))
+        # an infinite sphere rejects nothing
+        assert report.n_outliers == 0
+        assert np.array_equal(
+            report.labels, result.predict(ds.points, handle_outliers=False))
+
+    @pytest.mark.parametrize("batch", [
+        np.zeros((3, 10), dtype=np.complex128),
+        np.ones((2, 10), dtype=np.complex64),
+        [[np.complex128(1j)] + [0.0] * 9],
+        [[1 + 2j] + [0.0] * 9],
+    ])
+    def test_complex_batch_rejected(self, fitted, batch):
+        _, result = fitted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning first
+            with pytest.raises(ParameterError):
+                result.predict(batch)
+
 
 class TestDeadline:
     def test_expired_deadline_discards_batch(self, fitted):
@@ -268,6 +310,14 @@ class TestDeadline:
         ds, result = fitted
         labels = result.predict(ds.points, deadline=Deadline.start(None))
         assert np.array_equal(labels, result.labels)
+
+    def test_expiry_before_the_bad_block_is_a_deadline_error(self, fitted):
+        # finiteness is checked block by block, after each deadline poll
+        ds, result = fitted
+        bad = ds.points.copy()
+        bad[-1, 0] = np.nan
+        with pytest.raises(BudgetExceededError):
+            result.predict(bad, deadline=Deadline.start(0.0), chunk_size=10)
 
 
 class TestReportShape:
@@ -298,3 +348,105 @@ class TestReportShape:
         path = tracer.write_jsonl(tmp_path / "predict.jsonl")
         with open(path, encoding="utf-8") as fh:
             validate_trace_lines(fh)
+
+
+# ---------------------------------------------------------------------------
+# the blocked predict loop against the whole-matrix formulation
+# ---------------------------------------------------------------------------
+
+def whole_matrix_predict(X, medoids, dim_sets, spheres, handle_outliers):
+    """The formulation the blocked loop replaced: the whole ``(N, k)``
+    matrix first, then the nearest-medoid scan and the outlier mask over
+    it (``np.argmin`` and ``np.all``, which ``nearest_medoid`` and
+    ``detect_outliers`` are tested equal to)."""
+    dist = segmental_columns(X, medoids, dim_sets)
+    labels = np.argmin(dist, axis=1)
+    if handle_outliers:
+        labels[np.all(dist > spheres[None, :], axis=1)] = -1
+    return labels, dist
+
+
+@st.composite
+def blocked_cases(draw):
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # small integers: exact ties between medoids and points on spheres
+    X = rng.integers(-4, 5, size=(n, d)).astype(dtype)
+    medoids = rng.integers(-4, 5, size=(k, d)).astype(dtype)
+    dim_sets = [tuple(sorted(int(j) for j in rng.choice(
+        d, draw(st.integers(1, d)), replace=False))) for _ in range(k)]
+    chunk = draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    budget = draw(st.sampled_from([None, 64, 1000]))
+    return X, medoids, dim_sets, chunk, budget
+
+
+class TestBlockedMatchesWholeMatrix:
+    @given(blocked_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_oracle(self, case, handle_outliers,
+                                     return_distances):
+        X, medoids, dim_sets, chunk, budget = case
+        spheres = spheres_of_influence(medoids, dim_sets)
+        expected, expected_dist = whole_matrix_predict(
+            X, medoids, dim_sets, spheres, handle_outliers)
+        report = predict_points(X, medoids, dim_sets,
+                                handle_outliers=handle_outliers,
+                                chunk_size=chunk, memory_budget_bytes=budget,
+                                return_distances=return_distances)
+        assert report.labels.dtype == np.int64
+        assert np.array_equal(report.labels, expected)
+        assert report.n_outliers == int(np.count_nonzero(expected == -1))
+        if return_distances:
+            assert report.distances.dtype == X.dtype
+            assert np.array_equal(report.distances, expected_dist)
+        else:
+            assert report.distances is None
+
+    def test_one_kernel_call_per_equal_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(1000, 6))
+        medoids = X[[3, 500, 900]]
+        dim_sets = [(0, 1), (2, 3, 4), (5,)]
+        rows = []
+
+        def spy(block, *args, **kwargs):
+            rows.append(block.shape[0])
+            return segmental_columns(block, *args, **kwargs)
+
+        monkeypatch.setattr(predict_module, "segmental_columns", spy)
+        predict_points(X, medoids, dim_sets, chunk_size=300)
+        # 1000 rows under a 300-row cap: four equal blocks, not 3 + tail
+        assert rows == [250, 250, 250, 250]
+
+    @pytest.mark.parametrize("where", ["last_block", "unused_dimension"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_value_raises_without_labels(self, where, bad):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(1000, 4))
+        medoids = X[[0, 1]]
+        dim_sets = [(0,), (1,)]  # no medoid uses dimensions 2 and 3
+        if where == "last_block":
+            X[-1, 0] = bad
+        else:
+            X[500, 3] = bad
+        with pytest.raises(ParameterError, match="NaN or infinite"):
+            predict_points(X, medoids, dim_sets, chunk_size=100)
+
+    def test_peak_memory_below_the_whole_matrix(self):
+        n, d, k = 100_000, 10, 5
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(n, d))
+        medoids = X[:k].copy()
+        dim_sets = [(0, 1, 2), (3, 4), (5, 6, 7), (8, 9), (1, 4, 9)]
+        spheres = spheres_of_influence(medoids, dim_sets)
+        whole_matrix_bytes = n * k * X.dtype.itemsize
+        tracemalloc.start()
+        try:
+            predict_points(X, medoids, dim_sets, spheres=spheres)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_matrix_bytes, (peak, whole_matrix_bytes)

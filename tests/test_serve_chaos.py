@@ -58,6 +58,17 @@ def post_json(port: int, path: str, obj: Any,
         conn.close()
 
 
+def get_json(port: int, path: str,
+             timeout: float = 5.0) -> Tuple[int, Dict[str, Any]]:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 def recv_all(sock: socket.socket) -> bytes:
     """Drain a socket to EOF: the response may span TCP segments."""
     chunks = []
@@ -410,7 +421,12 @@ class TestSignalContract:
 
             worker = threading.Thread(target=in_flight)
             worker.start()
-            time.sleep(0.3)  # well inside the 0.8s kernel hang
+            # signal only once the request is admitted: its 0.8s kernel
+            # hang then keeps it in flight through the drain
+            deadline = time.monotonic() + 5.0
+            while get_json(port, "/stats")[1]["admission"]["inflight"] != 1:
+                assert time.monotonic() < deadline, "request never admitted"
+                time.sleep(0.01)
             proc.send_signal(signal.SIGTERM)
             worker.join(timeout=10.0)
             code = proc.wait(timeout=10.0)
