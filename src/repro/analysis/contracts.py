@@ -72,8 +72,8 @@ CACHE_KEY_CONTRACTS: Dict[str, Dict[str, CacheKeyContract]] = {
         "dimension_stats": CacheKeyContract(
             store="_stats",
             key_names=("row", "deltas", "min_size", "metric")),
-        # A new medoid's row, filled from its |X - m| block.
-        "_fill_locality": CacheKeyContract(
+        # A new medoid's row, filled by its blocked |X - m| pass.
+        "_store_new_medoid": CacheKeyContract(
             store="_stats",
             key_names=("row", "delta", "min_size", "metric")),
     },

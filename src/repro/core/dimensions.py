@@ -135,7 +135,8 @@ def dimension_statistics(X: np.ndarray, medoids: np.ndarray,
                 f"locality of medoid {i} is empty; use compute_localities "
                 "which guarantees a non-empty fallback"
             )
-        stats[i] = per_dimension_average_distance(X[members], medoids[i])
+        stats[i] = per_dimension_average_distance(X, medoids[i],
+                                                  rows=members)
     return stats
 
 

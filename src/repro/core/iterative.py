@@ -36,7 +36,7 @@ from ..robustness.guards import Deadline
 from ..validation import check_array
 from .assignment import assign_points
 from .dimensions import compute_localities, find_dimensions
-from .objective import evaluate_clusters
+from .objective import column_major, evaluate_clusters
 
 __all__ = [
     "find_bad_medoids",
@@ -150,6 +150,8 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
     elif cache is False:
         cache = None
     X = check_array(X, name="X")
+    # one column-major copy serves every vertex's EvaluateClusters
+    Xc = column_major(X)
     pool = np.asarray(pool, dtype=np.intp)
     if pool.size < k:
         raise ParameterError(
@@ -200,7 +202,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
             )
             labels = assign_points(X, X[current], dims,
                                    cache=cache, medoid_indices=current)
-            objective = evaluate_clusters(X, labels, dims)
+            objective = evaluate_clusters(X, labels, dims, Xc=Xc)
 
             improved = objective < best_obj
             visited_bad = (find_bad_medoids(labels, k, min_deviation)

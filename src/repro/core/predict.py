@@ -26,7 +26,7 @@ fitted working dtype.
 
 **One pass per row block.**  :func:`predict_points` walks the batch in
 equal row blocks sized by the segmental kernel's own rule
-(:func:`~repro.perf.kernels.row_block_size`), so every
+(:func:`~repro.robustness.guards.row_block_size`), so every
 ``segmental_columns`` call runs exactly one kernel block.  Each block
 is checked for NaN/inf (under ``on_bad_values="raise"``), gets its
 ``k`` distance columns in a reused scratch, and is labelled by the
@@ -56,9 +56,9 @@ import numpy as np
 from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import DegenerateDataError, ParameterError
 from ..obs import get_tracer
-from ..perf.kernels import (nearest_medoid, row_block_size,
-                            segmental_columns)
-from ..robustness.guards import Deadline
+from ..perf.kernels import (nearest_medoid, segmental_columns,
+                            segmental_layout)
+from ..robustness.guards import Deadline, row_block_size
 from ..validation import check_array, check_positive_int
 from .refinement import detect_outliers, spheres_of_influence
 
@@ -324,6 +324,8 @@ def predict_points(
     step = row_block_size(n, d, sum(len(dims) for dims in dim_sets),
                           queries.dtype.itemsize,
                           memory_budget_bytes=memory_budget_bytes, cap=cap)
+    # the medoids' segment layout, built once for every block
+    layout = segmental_layout(medoid_arr, dim_sets)
     tracer = get_tracer()
     # column-major, like the kernel's own output: each medoid's column
     # is contiguous for the nearest-medoid scan and the outlier test.
@@ -348,7 +350,7 @@ def predict_points(
             block_dist = segmental_columns(
                 block, medoid_arr, dim_sets,
                 memory_budget_bytes=memory_budget_bytes,
-                out=dist[at:at + rows],
+                out=dist[at:at + rows], layout=layout,
             )
             # the block's k columns are still in cache for both scans
             block_labels = nearest_medoid(block_dist.T)

@@ -14,19 +14,20 @@ by the budget.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..dtypes import as_working, to_float64
 from ..obs import get_tracer
-from ..robustness.guards import resolve_row_chunk
+from ..robustness.guards import (PASS_BLOCK_BYTES, resolve_row_chunk,
+                                 row_block_size)
 from .base import Metric, get_metric
 
 __all__ = [
     "distances_to_point",
     "cross_distances",
-    "distances_and_diffs",
+    "distances_and_locality",
     "pairwise_distances",
     "per_dimension_average_distance",
 ]
@@ -76,28 +77,50 @@ def cross_distances(X: np.ndarray, anchors: np.ndarray,
     return out
 
 
-def distances_and_diffs(X: np.ndarray, p, metric: MetricLike = "euclidean",
-                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Distances from the rows of ``X`` to ``p``, and the ``|X - p|`` behind them.
+def distances_and_locality(X: np.ndarray, row: int, delta: float,
+                           metric: MetricLike = "euclidean",
+                           ) -> Tuple[np.ndarray, np.ndarray,
+                                      Optional[np.ndarray]]:
+    """Distance column, radius members and their mean ``|X - X[row]|`` row.
 
-    ``A = |X - p|`` is computed once, in place, in ``X``'s working
-    dtype; the distances are the metric's row reduction of ``A``,
-    bit-identical to ``cross_distances(X, p[None], metric)[:, 0]``.
-    ``A`` is returned so a caller can reduce it again.  When ``A`` would
-    exceed the memory budget, the distances come from the row-chunked
-    :func:`cross_distances` and ``A`` is ``None``.
+    One pass over ``X`` in cache-sized row blocks of ``A = |X - m|``,
+    ``m = X[row]``.  Each block subtracts a pre-tiled copy of ``m`` into
+    a reused scratch, takes ``abs`` in place and writes the metric's
+    row reduction into the column, so every distance is bit-identical
+    to ``cross_distances(X, m[None], metric)[:, 0]``.  The block's rows
+    within ``delta`` (``row`` itself excluded) are the locality members,
+    and their ``A`` rows are folded into the float64 mean
+    :func:`per_dimension_average_distance` computes (``None`` when no
+    row qualifies, or for ``d == 1``, whose mean is not summed row by
+    row).  No ``(n, d)`` temporary is built.
     """
     m = get_metric(metric)
     X = as_working(X)
-    p = np.asarray(p, dtype=X.dtype).ravel()
-    if resolve_row_chunk(X.shape[0], X.shape[1],
-                         itemsize=X.dtype.itemsize) is not None:
-        # an owned copy, not a strided view of the (n, 1) result
-        return cross_distances(X, p, m)[:, 0].copy(), None
+    n, d = X.shape
     _count_distance_work(X, 1)
-    diffs = X - p
-    np.abs(diffs, out=diffs)
-    return m.reduce_rows(diffs), diffs
+    column = np.empty(n, dtype=X.dtype)
+    step = _block_rows(X)
+    tile = np.tile(X[row], (step, 1))
+    scratch = np.empty((step, d), dtype=X.dtype)
+    mean = _RowMean(step, d) if d > 1 else None
+    members: List[np.ndarray] = []
+    for start in range(0, n, step):
+        A = scratch[:min(step, n - start)]
+        np.subtract(X[start:start + step], tile[:A.shape[0]], out=A)
+        np.abs(A, out=A)
+        block_column = column[start:start + A.shape[0]]
+        block_column[...] = m.reduce_rows(A)
+        inside = block_column <= delta
+        if start <= row < start + A.shape[0]:
+            inside[row - start] = False
+        picked = np.flatnonzero(inside)
+        if picked.size:
+            members.append(picked + start)
+            if mean is not None:
+                mean.add(A, picked)
+    stats = mean.value() if mean is not None and mean.count else None
+    return column, (np.concatenate(members) if members
+                    else np.empty(0, dtype=np.intp)), stats
 
 
 def _count_distance_work(X: np.ndarray, n_anchors: int) -> None:
@@ -146,13 +169,16 @@ def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
 
 
 def per_dimension_average_distance(X: np.ndarray, p,
-                                   weights: Optional[np.ndarray] = None) -> np.ndarray:
+                                   weights: Optional[np.ndarray] = None, *,
+                                   rows: Optional[np.ndarray] = None,
+                                   ) -> np.ndarray:
     """Average absolute distance along each dimension from rows of ``X`` to ``p``.
 
     This is the quantity ``X_{i,j}`` in the paper's ``FindDimensions``:
     the mean of ``|x_j - p_j|`` over the points ``x`` in a locality (or
-    cluster).  ``weights`` allows a weighted mean; an empty ``X`` raises
-    ``ValueError`` — callers guard against empty localities explicitly.
+    cluster): the rows of ``X``, or ``X[rows]`` when ``rows`` is given.
+    ``weights`` allows a weighted mean; no points raise ``ValueError``
+    — callers guard against empty localities explicitly.
 
     Accumulation policy: the gather/diff runs in ``X``'s working dtype
     (that's the bandwidth-bound part), but the mean over members
@@ -160,13 +186,88 @@ def per_dimension_average_distance(X: np.ndarray, p,
     the input dtype — these statistics feed the Z-score ranking whose
     argsort decides dimension allocation, and a long float32 reduction
     could flip that ranking between otherwise-identical runs.
+
+    The unweighted mean runs in cache-sized row blocks: member rows are
+    gathered into a reused scratch, the tiled ``p`` is subtracted and
+    ``abs`` taken in place, and the rows are summed in the order of one
+    axis-0 reduction over all of them (see :class:`_RowMean`), so the
+    result is bit-identical to
+    ``np.abs(X[rows] - p).mean(axis=0, dtype=np.float64)``.
     """
     X = as_working(X)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or (X.shape[0] if rows is None else len(rows)) == 0:
         raise ValueError("per_dimension_average_distance needs a non-empty 2-D array")
     p = np.asarray(p, dtype=X.dtype).ravel()
-    diffs = np.abs(X - p)
-    if weights is None:
-        return diffs.mean(axis=0, dtype=np.float64)
-    weights = to_float64(weights)
-    return (diffs * weights[:, None]).sum(axis=0, dtype=np.float64) / weights.sum()
+    if weights is not None or X.shape[1] == 1:
+        # one reduction over the whole (count, d) block: a single
+        # column is summed pairwise, not row by row (see _RowMean)
+        diffs = np.abs((X if rows is None else X[rows]) - p)
+        if weights is None:
+            return diffs.mean(axis=0, dtype=np.float64)
+        weights = to_float64(weights)
+        return (diffs * weights[:, None]).sum(axis=0, dtype=np.float64) / weights.sum()
+    count = X.shape[0] if rows is None else len(rows)
+    step = _block_rows(X, count)
+    tile = np.tile(p, (step, 1))
+    scratch = np.empty((step, X.shape[1]), dtype=X.dtype)
+    mean = _RowMean(step, X.shape[1])
+    for start in range(0, count, step):
+        A = scratch[:min(step, count - start)]
+        block = (X[start:start + step] if rows is None
+                 else np.take(X, rows[start:start + step], axis=0, out=A))
+        np.subtract(block, tile[:A.shape[0]], out=A)
+        np.abs(A, out=A)
+        mean.add(A)
+    return mean.value()
+
+
+def _block_rows(X: np.ndarray, n: Optional[int] = None) -> int:
+    """Rows per block of an ``|X - m|`` pass over ``n`` rows of ``X``.
+
+    The temporaries are the scratch and the tiled medoid in ``X``'s
+    dtype plus the float64 statistics buffer: at most
+    ``4 * d * itemsize`` bytes a row, what the memory budget test
+    charges for ``(2 * d, rows)`` temporaries.
+    """
+    d = X.shape[1]
+    return row_block_size(X.shape[0] if n is None else n, d, 2 * d,
+                          X.dtype.itemsize, block_bytes=PASS_BLOCK_BYTES)
+
+
+class _RowMean:
+    """Float64 mean of ``(rows, d)`` blocks, summed as one reduction.
+
+    A C-ordered ``np.add.reduce(axis=0)`` over ``d > 1`` columns adds
+    its rows one after another, so the running sum goes in as row 0 of
+    the next block's reduction: every addition is the one a single
+    ``A.mean(axis=0, dtype=np.float64)`` over all rows makes, and the
+    mean is bit-identical to it.  (A single column is reduced pairwise
+    instead, so ``d == 1`` is not summed here.)
+    """
+
+    def __init__(self, rows: int, d: int) -> None:
+        self._buffer = np.empty((rows + 1, d), dtype=np.float64)
+        self._sum: Optional[np.ndarray] = None
+        self.count = 0
+
+    def add(self, A: np.ndarray, picked: Optional[np.ndarray] = None) -> None:
+        """Fold the rows ``A[picked]`` (all of ``A`` by default) in."""
+        first = 0 if self._sum is None else 1
+        size = A.shape[0] if picked is None else picked.size
+        block = self._buffer[first:first + size]
+        if picked is None:
+            block[...] = A
+        elif A.dtype == block.dtype:
+            # picked comes from flatnonzero, so it is in range;
+            # mode="clip" writes straight into block ("raise" buffers)
+            np.take(A, picked, axis=0, out=block, mode="clip")
+        else:
+            block[...] = A[picked]
+        if first:
+            self._buffer[0] = self._sum
+        self._sum = np.add.reduce(self._buffer[:first + size], axis=0)
+        self.count += size
+
+    def value(self) -> np.ndarray:
+        """The mean row so far (at least one row must have been added)."""
+        return self._sum / self.count

@@ -16,8 +16,9 @@ A vertex swap replaces only the *bad* medoids (typically 1–2 of ``k``),
 so :class:`IterativeCache` keeps each product keyed by the quantities
 that fully determine it and recomputes only what a swap invalidated.
 Stored columns are read-only and handed out as they are, never copied
-into an ``(N, k)`` matrix.  A new medoid ``m`` reads ``|X - m|`` once
-for both its distance column and its statistics row.  Every value is
+into an ``(N, k)`` matrix.  A new medoid ``m`` reads ``|X - m|`` once,
+in cache-sized row blocks, for its distance column, its locality and
+its statistics row.  Every value is
 the same IEEE computation on the same operands as in the uncached path,
 so results are **bit-identical** — the cache is a pure wall-clock
 optimisation.
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..distance.base import Metric, get_metric
-from ..distance.matrix import (distances_and_diffs,
+from ..distance.matrix import (distances_and_locality,
                                per_dimension_average_distance)
 from ..obs import get_tracer
 from ..robustness.guards import DEFAULT_MEMORY_BUDGET_BYTES
@@ -221,13 +222,12 @@ class IterativeCache:
         Stored columns are handed out as they are, read-only, in
         ``X``'s working dtype; each is bit-identical to the matching
         column of ``cross_distances(X, X[medoid_indices])``.  A miss
-        reads ``A = |X - X[row]|`` once
-        (:func:`~repro.distance.matrix.distances_and_diffs`); with the
-        medoids' locality radii ``deltas``, the same ``A`` also gives
-        a new medoid's locality members and its ``X_{i,.}`` statistics
-        row, stored under their usual keys.  ``A`` is dropped before
-        the next medoid, so one ``(N, d)`` temporary is alive at a
-        time.
+        reads ``A = |X - X[row]|`` once, in cache-sized row blocks
+        (:func:`~repro.distance.matrix.distances_and_locality`); with
+        the medoids' locality radii ``deltas``, the same pass also
+        gives a new medoid's locality members and its ``X_{i,.}``
+        statistics row, stored under their usual keys
+        (:meth:`_store_new_medoid`).  No ``(N, d)`` temporary is built.
         """
         self.bind(X)
         mkey = self._metric_key(metric)
@@ -238,14 +238,12 @@ class IterativeCache:
             col = self._distance.get((row, mkey))
             if col is None:
                 computed += 1
-                col, diffs = distances_and_diffs(X, X[row], metric)
+                col, members, stats = distances_and_locality(
+                    X, row, deltas[j], metric)
                 col.flags.writeable = False
                 self._distance.put((row, mkey), col)
-                if diffs is not None:  # None: A was over the memory budget
-                    self._fill_locality(diffs, col, row, deltas[j],
-                                        min_size, metric)
-                # drop A now: the next miss allocates its own
-                del diffs
+                self._store_new_medoid(X, col, members, stats, row,
+                                       deltas[j], min_size, metric)
             columns.append(col)
         tracer = get_tracer()
         if tracer.enabled:
@@ -253,24 +251,33 @@ class IterativeCache:
             tracer.count("cache.distance_served", len(columns) - computed)
         return columns
 
-    def _fill_locality(self, diffs: np.ndarray, column: np.ndarray, row: int,
-                       delta: np.floating, min_size: int,
-                       metric: MetricLike) -> None:
-        """Locality members and statistics row of a new medoid from ``A``.
+    def _store_new_medoid(self, X: np.ndarray, column: np.ndarray,
+                          members: np.ndarray, stats: Optional[np.ndarray],
+                          row: int, delta: np.floating, min_size: int,
+                          metric: MetricLike) -> None:
+        """Store a new medoid's locality members and statistics row.
 
-        ``diffs[members]`` equals ``|X[members] - X[row]|`` elementwise,
-        so the row is bit-identical to
-        :func:`~repro.distance.matrix.per_dimension_average_distance`'s
-        gather path.
+        ``members`` and ``stats`` come from the medoid's
+        :func:`~repro.distance.matrix.distances_and_locality` pass.
+        When fewer than ``min_size`` points lie within ``delta``, the
+        members are the nearest ``min_size`` (:func:`select_locality`'s
+        argsort over the finished column) and their row is gathered
+        afterwards; either way it is bit-identical to
+        :func:`~repro.distance.matrix.per_dimension_average_distance`
+        over the members.
         """
-        members = self.locality_members(row, delta, min_size, metric)
-        if members is None:
+        if members.size < min_size:
             members = select_locality(column, delta, row, min_size)
+            stats = None
+        if self.locality_members(row, delta, min_size, metric) is None:
             self.store_locality_members(row, delta, min_size, metric,
                                         members)
         key = (int(row), float(delta), int(min_size), self._metric_key(metric))
         if self._stats.get(key) is None:
-            self._stats.put(key, diffs[members].mean(axis=0, dtype=np.float64))
+            if stats is None:
+                stats = per_dimension_average_distance(X, X[row],
+                                                       rows=members)
+            self._stats.put(key, stats)
 
     # ------------------------------------------------------------------
     def segmental_matrix(self, X: np.ndarray, medoid_indices: np.ndarray,
@@ -337,7 +344,7 @@ class IterativeCache:
 
         Rows of new medoids were stored by :meth:`distance_columns`.
         The remaining misses (retained medoids whose radius changed)
-        call the same
+        call the same blocked
         :func:`~repro.distance.matrix.per_dimension_average_distance`
         the uncached :func:`~repro.core.dimensions.dimension_statistics`
         uses, so rows are bit-identical.
@@ -356,7 +363,8 @@ class IterativeCache:
             cached = self._stats.get(key)
             if cached is None:
                 members = np.asarray(localities[i], dtype=np.intp)
-                cached = per_dimension_average_distance(X[members], X[row])
+                cached = per_dimension_average_distance(X, X[row],
+                                                        rows=members)
                 self._stats.put(key, cached)
             stats[i] = cached
         return stats

@@ -40,28 +40,21 @@ blocks are likewise independent.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..dtypes import as_working
 from ..exceptions import ParameterError
 from ..obs import get_tracer
-from ..robustness.guards import resolve_row_chunk
+from ..robustness.guards import row_block_size
 
-__all__ = ["Columns", "build_dims_layout", "row_block_size",
-           "segmental_columns", "nearest_medoid"]
+__all__ = ["Columns", "SegmentalLayout", "build_dims_layout",
+           "segmental_layout", "segmental_columns", "nearest_medoid"]
 
 #: ``k`` distance columns of equal length: a list of ``(n,)`` arrays, or
 #: a ``(k, n)`` array such as the transpose of a column-major matrix.
 Columns = Union[np.ndarray, Sequence[np.ndarray]]
-
-#: Bytes of ``X`` one row block spans.  Selecting the dimensions of a
-#: transposed block reads it once per selected dimension, so a block
-#: that stays in the per-core L2 cache is read from memory only once;
-#: 1 MiB measured fastest at d=20 and d=50, in both dtypes, on a 2-vCPU
-#: Xeon (2 MiB L2 per core).
-_BLOCK_BYTES = 1 << 20
 
 
 def build_dims_layout(
@@ -91,31 +84,42 @@ def build_dims_layout(
     return flat, starts, counts
 
 
-def row_block_size(n: int, d: int, n_selected: int, itemsize: int, *,
-                   memory_budget_bytes: Optional[int] = None,
-                   cap: Optional[int] = None) -> int:
-    """Rows per block of the segmental kernel's pass over ``n`` rows.
+class SegmentalLayout(NamedTuple):
+    """What :func:`segmental_columns` derives from the medoids once.
 
-    A block spans about ``_BLOCK_BYTES`` of an ``(n, d)`` matrix with
-    ``itemsize``-byte entries, fewer rows when the block's
-    ``(n_selected, rows)`` temporaries would exceed
-    ``memory_budget_bytes`` (see :mod:`repro.robustness.guards`), and
-    at most ``cap`` rows.  The ``n`` rows are then split into equal
-    blocks, so no short tail block pays the per-medoid call overhead
-    for a handful of rows.  Fed back in as ``n`` (other arguments
-    unchanged, ``cap`` aside), the result is one block: a caller
-    walking rows in blocks of this size runs :func:`segmental_columns`
-    as one kernel block per call.
+    ``flat`` and ``counts`` are :func:`build_dims_layout`'s arrays;
+    ``starts`` and ``sizes`` are the segments' starts and lengths as
+    Python lists, for the block loop; ``centres`` holds each medoid's
+    coordinate under its concatenated ``(owner, dim)`` slot, as a
+    column.
     """
-    step = max(1, _BLOCK_BYTES // (max(1, d) * itemsize))
-    chunk = resolve_row_chunk(n, n_selected, memory_budget_bytes,
-                              itemsize=itemsize)
-    if chunk is not None:
-        step = min(step, chunk)
-    if cap is not None:
-        step = min(step, cap)
-    n_blocks = max(1, -(-n // step))
-    return max(1, -(-n // n_blocks))
+
+    flat: np.ndarray
+    counts: np.ndarray
+    starts: List[int]
+    sizes: List[int]
+    centres: np.ndarray
+
+
+def segmental_layout(medoids: np.ndarray,
+                     dim_sets: Sequence[Sequence[int]]) -> SegmentalLayout:
+    """The medoids' :class:`SegmentalLayout`, in ``medoids``' dtype.
+
+    A caller running :func:`segmental_columns` over many row blocks of
+    one batch builds it once and passes it in as ``layout``.
+    """
+    medoids = np.atleast_2d(medoids)
+    flat, starts, counts = build_dims_layout(dim_sets)
+    k = counts.size
+    if medoids.shape[0] != k:
+        raise ParameterError(
+            f"need one dimension set per medoid; got {k} for "
+            f"k={medoids.shape[0]}"
+        )
+    # a column, so it broadcasts over the (sum|D_i|, rows) block
+    centres = medoids[np.repeat(np.arange(k), counts), flat][:, None]
+    return SegmentalLayout(flat, counts, starts.tolist(), counts.tolist(),
+                           centres)
 
 
 def _sum_rows_like_reduceat(rows: np.ndarray) -> np.ndarray:
@@ -152,13 +156,15 @@ def _sum_rows_like_reduceat(rows: np.ndarray) -> np.ndarray:
 def segmental_columns(X: np.ndarray, medoids: np.ndarray,
                       dim_sets: Sequence[Sequence[int]], *,
                       memory_budget_bytes: Optional[int] = None,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
+                      out: Optional[np.ndarray] = None,
+                      layout: Optional[SegmentalLayout] = None,
+                      ) -> np.ndarray:
     """``(n, k)`` segmental distances, one column per medoid.
 
     Column ``i`` is the Manhattan segmental distance from every row of
     ``X`` to ``medoids[i]`` relative to ``dim_sets[i]``.  The returned
     matrix is column-major (each column contiguous).  Rows are processed
-    in the blocks :func:`row_block_size` sets: about ``_BLOCK_BYTES`` of
+    in the blocks :func:`row_block_size` sets: about 1 MiB of
     ``X``, fewer rows when the ``(sum|D_i|, rows)`` temporaries would
     exceed ``memory_budget_bytes`` — identical values, bounded peak
     memory.
@@ -172,22 +178,24 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
 
     A caller-provided ``out`` must have shape ``(n, k)`` and ``X``'s
     working dtype (either memory order); mismatches raise
-    :class:`~repro.exceptions.ParameterError` up front.
+    :class:`~repro.exceptions.ParameterError` up front.  ``layout`` is
+    :func:`segmental_layout` of the same medoids and dimension sets,
+    when the caller already built it; a layout whose medoid count or
+    dtype differs from ``medoids``' and ``X``'s raises
+    :class:`~repro.exceptions.ParameterError`.
     """
     X = as_working(X)
-    medoids = np.atleast_2d(np.asarray(medoids, dtype=X.dtype))
-    flat, starts, counts = build_dims_layout(dim_sets)
+    if layout is None:
+        layout = segmental_layout(np.asarray(medoids, dtype=X.dtype),
+                                  dim_sets)
+    flat, counts, starts_list, sizes, centres = layout
     k = counts.size
-    if medoids.shape[0] != k:
+    if np.atleast_2d(medoids).shape[0] != k or centres.dtype != X.dtype:
         raise ParameterError(
-            f"need one dimension set per medoid; got {k} for "
-            f"k={medoids.shape[0]}"
+            f"layout holds {k} {centres.dtype.name} medoids; got "
+            f"{np.atleast_2d(medoids).shape[0]} medoids and "
+            f"{X.dtype.name} rows"
         )
-    sizes = counts.tolist()
-    starts_list = starts.tolist()
-    # medoid coordinate under each concatenated (owner, dim) slot, as a
-    # column so it broadcasts over the (sum|D_i|, rows) block
-    centres = medoids[np.repeat(np.arange(k), counts), flat][:, None]
     n = X.shape[0]
     tracer = get_tracer()
     if tracer.enabled:

@@ -30,10 +30,11 @@ class IterativeCache:
                 self._stats.put(key, X[row])
         return X
 
-    def _fill_locality(self, diffs, column, row, delta, min_size, metric):
+    def _store_new_medoid(self, X, column, members, stats, row, delta,
+                          min_size, metric):
         key = (row, delta, min_size, metric)
         if self._stats.get(key) is None:
-            self._stats.put(key, diffs.mean(axis=0))
+            self._stats.put(key, stats)
 
     def peek(self, row):
         # undeclared: no contract covers this access

@@ -1,13 +1,20 @@
 """Oracle tests for the fit's fused hot path.
 
-A new medoid's distance column and its locality statistics row are both
-reductions of one ``A = |X - X[m]|`` block, and the cache hands out its
+A new medoid's distance column, its locality and its statistics row all
+come from one blocked pass over ``A = |X - X[m]|``, EvaluateClusters
+gathers from a column-major copy of ``X``, and the cache hands out its
 stored columns instead of copying them into an ``(N, k)`` matrix.  The
 tests below pin that path to the formulas it replaced, bit for bit, in
 both working dtypes:
 
 * each metric's row reduction of ``|X - p|`` against the earlier
   ``pairwise_to_point`` formula, written out here;
+* the blocked new-medoid pass against the literal full-slab ``|X - m|``
+  formulation (kept here), over block sizes down to one row, the
+  medoid in the first and the last block, and the ``min_size``
+  fallback;
+* the column-major gather against the 2-D fancy gather it replaced,
+  with empty clusters and outliers;
 * the cache's distance columns and statistics rows against
   :func:`cross_distances` and :func:`per_dimension_average_distance`,
   for a new medoid, a retained medoid whose radius changed and the
@@ -19,6 +26,8 @@ both working dtypes:
   reject non-finite ``X``, as the hill climb validates once per phase.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +36,9 @@ from hypothesis.extra.numpy import arrays
 from repro import core, proclus
 from repro.core.assignment import segmental_distance_matrix
 from repro.core.dimensions import compute_localities, find_dimensions
-from repro.core.objective import cluster_dispersions
+from repro.core.objective import (_members_block, cluster_dispersions,
+                                  cluster_dispersions_and_sizes,
+                                  column_major)
 from repro.distance import (
     LpDistance,
     ManhattanSegmentalDistance,
@@ -35,7 +46,7 @@ from repro.distance import (
     get_metric,
     per_dimension_average_distance,
 )
-from repro.distance.matrix import distances_and_diffs
+from repro.distance.matrix import distances_and_locality
 from repro.exceptions import DataError
 from repro.metrics import projected_objective
 from repro.obs import Tracer, use_tracer
@@ -89,9 +100,14 @@ class TestRowReductionOracle:
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(metric.pairwise_to_point(X, p),
                                       expected)
-        column, diffs = distances_and_diffs(X, p, metric)
-        np.testing.assert_array_equal(column, expected)
-        np.testing.assert_array_equal(diffs, np.abs(X - p))
+        # p as the last row of the blocked pass: an infinite radius
+        # takes every other row into the locality
+        column, members, stats = distances_and_locality(
+            np.vstack([X, p[None]]), n, np.inf, metric)
+        np.testing.assert_array_equal(column[:n], expected)
+        np.testing.assert_array_equal(members, np.arange(n))
+        np.testing.assert_array_equal(
+            stats, np.abs(X - p).mean(axis=0, dtype=np.float64))
 
 
 def _radii(X, rows, metric):
@@ -138,6 +154,113 @@ def _assert_cache_matches_oracles(cache, X, medoids, metric, min_size):
     return localities, deltas
 
 
+def _full_slab(X, row, metric, delta, min_size):
+    """A new medoid's products from one whole ``(n, d)`` ``|X - m|`` slab.
+
+    The literal formulation the blocked pass replaced: the column is the
+    metric's reduction of the slab, the locality the rows within
+    ``delta`` (the medoid excluded) or else the nearest ``min_size``,
+    and the statistics row the slab's member rows averaged in float64.
+    """
+    A = np.abs(X - X[row])
+    column = metric.reduce_rows(A)
+    inside = column <= delta
+    inside[row] = False
+    members = np.flatnonzero(inside)
+    if members.size < min_size:
+        order = np.argsort(column, kind="stable")
+        members = order[order != row][:min_size]
+    return column, members, A[members].mean(axis=0, dtype=np.float64)
+
+
+class TestBlockedPassMatchesFullSlab:
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_locality_and_statistics(self, name, dtype, data):
+        metric = METRICS[name]
+        n = data.draw(st.integers(2, 90), label="n")
+        # the segmental metric reads dimensions 0, 2 and 3
+        d = data.draw(st.integers(4 if name == "segmental" else 2, 7),
+                      label="d")
+        values = st.floats(-1e3, 1e3, allow_nan=False, width=32)
+        X = data.draw(arrays(dtype, (n, d), elements=values), label="X")
+        # the medoid in the first block, the last block, or anywhere
+        row = data.draw(st.sampled_from([0, n - 1])
+                        | st.integers(0, n - 1), label="row")
+        column = _full_slab(X, row, metric, np.inf, 1)[0]
+        # a radius at some point's distance: from no other point (the
+        # min_size fallback) up to every point
+        delta = np.sort(column)[data.draw(st.integers(0, n - 1),
+                                          label="rank")]
+        min_size = data.draw(st.integers(1, n - 1), label="min_size")
+        # blocks of 1 row (a budget of one byte) up to one block for
+        # all n rows; the rows split into equal blocks with a short
+        # tail when the block does not divide n
+        block = data.draw(st.integers(1, n + 3), label="block rows")
+        budget = block * 4 * d * X.itemsize
+        expected = _full_slab(X, row, metric, delta, min_size)
+        with mock.patch.object(guards, "DEFAULT_MEMORY_BUDGET_BYTES",
+                               1 if block == 1 else budget):
+            cache = IterativeCache()
+            (got_column,) = cache.distance_columns(
+                X, np.array([row]), metric, deltas=np.array([delta]),
+                min_size=min_size)
+            members = cache.locality_members(row, delta, min_size, metric)
+            misses = cache.stats["stats"].misses
+            stats = cache.dimension_stats(X, np.array([row]), [members],
+                                          np.array([delta]), min_size,
+                                          metric)
+            assert cache.stats["stats"].misses == misses  # filled in pass
+            gathered = per_dimension_average_distance(X, X[row],
+                                                      rows=members)
+        assert got_column.dtype == dtype
+        np.testing.assert_array_equal(got_column, expected[0])
+        np.testing.assert_array_equal(members, expected[1])
+        np.testing.assert_array_equal(stats[0], expected[2])
+        np.testing.assert_array_equal(gathered, expected[2])
+
+
+class TestColumnMajorGather:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_and_dispersions_match_fancy_gather(self, dtype, data):
+        n = data.draw(st.integers(1, 80), label="n")
+        d = data.draw(st.integers(2, 9), label="d")
+        k = data.draw(st.integers(1, 4), label="k")
+        values = st.floats(-1e4, 1e4, allow_nan=False, width=32)
+        X = data.draw(arrays(dtype, (n, d), elements=values), label="X")
+        # outliers (-1) and clusters that may be empty: labels drawn
+        # from -1..k-1 leave some ids unused
+        labels = np.array(data.draw(st.lists(st.integers(-1, k - 1),
+                                             min_size=n, max_size=n),
+                                    label="labels"))
+        dim_sets = [tuple(sorted(data.draw(
+            st.sets(st.integers(0, d - 1), min_size=1, max_size=d),
+            label=f"D_{i}"))) for i in range(k)]
+        Xc = column_major(X)
+        assert Xc.flags.c_contiguous
+        np.testing.assert_array_equal(Xc, X.T)
+        for i, dims in enumerate(dim_sets):
+            idx = np.flatnonzero(labels == i)
+            dims_arr = np.asarray(dims, dtype=np.intp)
+            fancy = X.T[dims_arr[:, None], idx]
+            got = _members_block(X, Xc, dims_arr, idx)
+            assert got.flags.c_contiguous and fancy.flags.c_contiguous
+            np.testing.assert_array_equal(got, fancy)
+        with_copy = cluster_dispersions_and_sizes(X, labels, dim_sets, Xc=Xc)
+        # without the copy (one-shot, or over the memory budget) X is
+        # gathered
+        with mock.patch.object(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 1):
+            assert column_major(X) is None
+            without = cluster_dispersions_and_sizes(X, labels, dim_sets)
+        assert with_copy == without
+        assert with_copy[1] == {i: int(np.count_nonzero(labels == i))
+                                for i in range(k)}
+
+
 class TestCachedProductsOracle:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan",
                                         "chebyshev", LpDistance(3)],
@@ -173,21 +296,23 @@ class TestCachedProductsOracle:
         assert np.count_nonzero(column <= deltas[0]) - 1 < min_size
         assert len(localities[0]) == min_size
 
-    def test_over_budget_falls_back_to_gathered_statistics(self, monkeypatch):
+    def test_tiny_budget_passes_still_fill_statistics(self, monkeypatch):
         X = _clustered(np.float64)
-        reference = IterativeCache()
         medoids = np.array([5, 70, 130, 200])
-        _assert_cache_matches_oracles(reference, X, medoids, "euclidean", 2)
-        # a budget smaller than one |X - m| block: columns come from the
-        # row-chunked kernel and no statistics row is filled early
+        # a budget of a few rows: the |X - m| passes run in short row
+        # blocks, and the new medoids' rows are still filled in the pass
         monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 4096)
-        column, diffs = distances_and_diffs(X, X[5], "euclidean")
-        assert diffs is None
-        np.testing.assert_array_equal(
-            column, cross_distances(X, X[[5]])[:, 0])
         chunked = IterativeCache()
-        _assert_cache_matches_oracles(chunked, X, medoids, "euclidean", 2)
+        localities, deltas = _assert_cache_matches_oracles(
+            chunked, X, medoids, "euclidean", 2)
         assert chunked.stats["stats"].misses == medoids.size
+        assert chunked.stats["stats"].hits == 2 * medoids.size
+        stored = chunked.dimension_stats(X, medoids, localities, deltas, 2,
+                                         "euclidean")
+        for i, row in enumerate(medoids):
+            np.testing.assert_array_equal(
+                stored[i], _full_slab(X, row, get_metric("euclidean"),
+                                      deltas[i], 2)[2])
 
 
 class TestWorkCounters:

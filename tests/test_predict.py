@@ -23,6 +23,7 @@ from repro.core.proclus import proclus
 from repro.core.refinement import spheres_of_influence
 from repro.perf.kernels import segmental_columns
 from repro.core.serialization import load_result, save_result
+from repro.perf import kernels
 from repro.exceptions import (BudgetExceededError, DataError, ParameterError)
 from repro.obs import Tracer, use_tracer, validate_trace_lines
 from repro.robustness.guards import Deadline
@@ -450,3 +451,47 @@ class TestBlockedMatchesWholeMatrix:
         finally:
             tracemalloc.stop()
         assert peak < whole_matrix_bytes, (peak, whole_matrix_bytes)
+
+
+# ---------------------------------------------------------------------------
+# the segmental layout is built once per predict call
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a spy; returns its list of calls."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestLayoutBuiltOnce:
+    def test_layout_built_once_per_predict_call(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(1000, 6))
+        medoids = X[[3, 500, 900]]
+        dim_sets = [(0, 1), (2, 3, 4), (5,)]
+        blocks = _counting(monkeypatch, predict_module, "segmental_columns")
+        layouts = _counting(monkeypatch, kernels, "build_dims_layout")
+        predict_points(X, medoids, dim_sets, chunk_size=100)
+        assert len(blocks) == 10
+        assert len(layouts) == 1
+
+    def test_mismatched_layout_raises(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(50, 6))
+        dim_sets = [(0, 1), (2, 3, 4), (5,)]
+        layout = kernels.segmental_layout(X[[3, 20, 40]], dim_sets)
+        with pytest.raises(ParameterError, match="layout"):
+            segmental_columns(X, X[[3, 20]], dim_sets[:2], layout=layout)
+        with pytest.raises(ParameterError, match="layout"):
+            segmental_columns(X.astype(np.float32), X[[3, 20, 40]],
+                              dim_sets, layout=layout)
+        np.testing.assert_array_equal(
+            segmental_columns(X, X[[3, 20, 40]], dim_sets, layout=layout),
+            segmental_columns(X, X[[3, 20, 40]], dim_sets))
