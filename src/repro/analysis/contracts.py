@@ -60,11 +60,12 @@ CACHE_KEY_CONTRACTS: Dict[str, Dict[str, CacheKeyContract]] = {
         "segmental_matrix": CacheKeyContract(
             store="_segmental", key_names=("row", "dims")),
         # Locality membership depends on the medoid row, its radius,
-        # the fallback floor, and the metric.
-        "locality_members": CacheKeyContract(
+        # the fallback floor, and the metric: read (and selected on a
+        # miss) per vertex, and stored by a new medoid's pass.
+        "localities": CacheKeyContract(
             store="_locality",
-            key_names=("row", "delta", "min_size", "metric")),
-        "store_locality_members": CacheKeyContract(
+            key_names=("row", "deltas", "min_size", "metric")),
+        "_store_locality": CacheKeyContract(
             store="_locality",
             key_names=("row", "delta", "min_size", "metric")),
         # X_{i,.} rows are determined by the same quantities as the

@@ -13,7 +13,9 @@ column scan (:func:`repro.perf.kernels.nearest_medoid`) with
 ``np.argmin``'s first-index tie rule.  During hill climbing an
 :class:`~repro.perf.cache.IterativeCache` hands out the stored columns
 of medoids that kept both their row and their dimension set since the
-previous vertex, without assembling a matrix.
+previous vertex, without assembling a matrix.  New points are assigned
+in bounded-memory row blocks by
+:func:`~repro.core.predict.predict_points`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ import numpy as np
 from ..dtypes import as_working
 from ..exceptions import ParameterError
 from ..perf.kernels import Columns, nearest_medoid, segmental_columns
-from ..validation import check_array, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..perf.cache import IterativeCache
 
-__all__ = ["segmental_distance_columns", "segmental_distance_matrix",
-           "assign_points", "assign_points_chunked"]
+__all__ = ["segmental_distance_columns", "assign_points"]
 
 
 def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
@@ -61,20 +61,6 @@ def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
     return segmental_columns(X, medoids, dim_sets).T
 
 
-def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
-                              dim_sets: Sequence[Sequence[int]], *,
-                              cache: Optional["IterativeCache"] = None,
-                              medoid_indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """Column-major ``(N, k)`` matrix of segmental distances to each medoid.
-
-    The columns of :func:`segmental_distance_columns`, as one matrix.
-    """
-    X = check_array(X, name="X")
-    return np.asarray(segmental_distance_columns(
-        X, medoids, dim_sets, cache=cache, medoid_indices=medoid_indices,
-    )).T
-
-
 def assign_points(X: np.ndarray, medoids: np.ndarray,
                   dim_sets: Sequence[Sequence[int]],
                   return_distances: bool = False, *,
@@ -98,23 +84,4 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
     labels = nearest_medoid(columns)
     if return_distances:
         return labels, np.asarray(columns).T
-    return labels
-
-
-def assign_points_chunked(X: np.ndarray, medoids: np.ndarray,
-                          dim_sets: Sequence[Sequence[int]],
-                          chunk_size: int = 65536) -> np.ndarray:
-    """Streaming variant of :func:`assign_points` with bounded memory.
-
-    The paper's assignment is "a single pass over the database"; this
-    variant makes the single-pass structure literal by processing
-    ``chunk_size`` points at a time, holding only ``O(chunk_size * k)``
-    distance entries.  Results are identical to :func:`assign_points`.
-    """
-    X = check_array(X, name="X")
-    check_positive_int(chunk_size, name="chunk_size", minimum=1)
-    labels = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], chunk_size):
-        stop = min(start + chunk_size, X.shape[0])
-        labels[start:stop] = assign_points(X[start:stop], medoids, dim_sets)
     return labels

@@ -47,7 +47,8 @@ class ProclusConfig:
         Number of clusters to find.
     l:
         Average number of dimensions per cluster; ``l >= 2`` and ``k*l``
-        integral (paper section 1).
+        integral (paper section 1).  Every cluster gets at least the
+        paper's 2 dimensions.
     sample_factor:
         ``A`` — random-sample size multiplier for the initialization phase.
     pool_factor:
@@ -61,8 +62,6 @@ class ProclusConfig:
     metric:
         Full-dimensional metric for initialization/locality radii
         (the paper leaves ``d(.,.)`` generic; default Euclidean).
-    min_dims_per_cluster:
-        The paper hard-codes 2; configurable for ablations.
     time_budget_s:
         Optional wall-clock budget for the fit.  When it expires the
         hill climbing returns its best-so-far vertex with
@@ -120,7 +119,6 @@ class ProclusConfig:
     max_bad_tries: int = 20
     max_iterations: int = 300
     metric: Union[str, Metric] = "euclidean"
-    min_dims_per_cluster: int = 2
     time_budget_s: Optional[float] = None
     cache: bool = True
     n_jobs: int = 1
@@ -147,9 +145,6 @@ class ProclusConfig:
         )
         check_positive_int(self.max_bad_tries, name="max_bad_tries", minimum=1)
         check_positive_int(self.max_iterations, name="max_iterations", minimum=1)
-        check_positive_int(
-            self.min_dims_per_cluster, name="min_dims_per_cluster", minimum=1
-        )
         self.time_budget_s = check_time_budget(self.time_budget_s)
         self.cache = bool(self.cache)
         self.n_jobs = check_n_jobs(self.n_jobs)
@@ -163,10 +158,6 @@ class ProclusConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ParameterError(
                 "resume=True requires checkpoint_dir to be set"
-            )
-        if self.min_dims_per_cluster > self.l:
-            raise ParameterError(
-                f"min_dims_per_cluster={self.min_dims_per_cluster} exceeds l={self.l}"
             )
         if self.k > n_points:
             raise ParameterError(f"k={self.k} exceeds N={n_points}")

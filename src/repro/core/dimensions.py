@@ -41,7 +41,6 @@ from ..distance.segmental import segmental_distances_to_point
 from ..dtypes import as_working, to_float64
 from ..exceptions import ParameterError
 from ..perf.cache import IterativeCache, select_locality
-from ..perf.kernels import Columns
 from ..validation import check_array
 
 __all__ = [
@@ -71,8 +70,10 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
         fewer than ``min_locality_size`` points qualify, the nearest
         ``min_locality_size`` non-medoid points are used instead.
 
-    With a :class:`~repro.perf.cache.IterativeCache`, distance columns
-    and member sets of medoids unchanged since the previous vertex are
+    With a :class:`~repro.perf.cache.IterativeCache`, the members come
+    from :meth:`IterativeCache.localities
+    <repro.perf.cache.IterativeCache.localities>`: distance columns and
+    member sets of medoids unchanged since the previous vertex are
     reused instead of recomputed, and a new medoid's ``|X - m|`` also
     yields its statistics row; results are bit-identical either way.
     ``X`` is not validated here: the hill climb validates it once per
@@ -88,30 +89,17 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
     np.fill_diagonal(med_dist, np.inf)
     deltas = med_dist.min(axis=1)
     if cache is not None:
-        columns: Columns = cache.distance_columns(
-            X, medoid_indices, metric,
-            deltas=deltas, min_size=min_locality_size,
-        )
+        columns = cache.distance_columns(X, medoid_indices, metric,
+                                         deltas=deltas,
+                                         min_size=min_locality_size)
+        localities = cache.localities(columns, medoid_indices, metric,
+                                      deltas=deltas,
+                                      min_size=min_locality_size)
     else:
         columns = cross_distances(X, medoids, metric).T
-
-    localities: List[np.ndarray] = []
-    for i in range(k):
-        if cache is not None:
-            members = cache.locality_members(
-                medoid_indices[i], deltas[i], min_locality_size, metric
-            )
-            if members is not None:
-                localities.append(members)
-                continue
-        members = select_locality(columns[i], deltas[i], medoid_indices[i],
-                                  min_locality_size)
-        if cache is not None:
-            cache.store_locality_members(
-                medoid_indices[i], deltas[i], min_locality_size, metric,
-                members,
-            )
-        localities.append(members)
+        localities = [select_locality(columns[i], deltas[i],
+                                      medoid_indices[i], min_locality_size)
+                      for i in range(k)]
     return localities, deltas
 
 

@@ -48,7 +48,7 @@ __all__ = ["Proclus", "proclus"]
 def _fit(X: np.ndarray, k: int, l: float, *,
          sample_factor: int, pool_factor: int, min_deviation: float,
          max_bad_tries: int, max_iterations: int,
-         metric: Union[str, Metric], min_dims_per_cluster: int,
+         metric: Union[str, Metric],
          handle_outliers: bool, keep_history: bool, restarts: int,
          fit_sample_size: Optional[int], seed: SeedLike,
          deadline: Optional[Deadline],
@@ -85,7 +85,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
             min_deviation=min_deviation,
             max_bad_tries=max_bad_tries,
             max_iterations=max_iterations, metric=metric,
-            min_dims_per_cluster=min_dims_per_cluster,
             handle_outliers=handle_outliers,
             keep_history=keep_history,
             fit_sample_size=fit_sample_size,
@@ -163,7 +162,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
                 sample_factor=sample_factor, pool_factor=pool_factor,
                 min_deviation=min_deviation, max_bad_tries=max_bad_tries,
                 max_iterations=max_iterations, metric=metric,
-                min_dims_per_cluster=min_dims_per_cluster,
                 handle_outliers=False, keep_history=keep_history,
                 restarts=1, fit_sample_size=None, seed=rng_fit,
                 deadline=deadline, exclude_dims=exclude_dims, notes=notes,
@@ -184,7 +182,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
                                         medoid_indices=medoid_indices)
             refined = refine_clusters(
                 X, full_labels, medoid_indices, l,
-                min_dims_per_cluster=min_dims_per_cluster,
                 fallback_dims=dim_sets,
                 handle_outliers=handle_outliers,
                 exclude_dims=exclude_dims,
@@ -214,7 +211,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         k=k, l=l, sample_factor=sample_factor, pool_factor=pool_factor,
         min_deviation=min_deviation, max_bad_tries=max_bad_tries,
         max_iterations=max_iterations, metric=metric,
-        min_dims_per_cluster=min_dims_per_cluster,
         time_budget_s=deadline.budget_s if deadline is not None else None,
         cache=cache,
         n_jobs=n_jobs,
@@ -243,7 +239,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         min_deviation=config.min_deviation,
         max_bad_tries=config.max_bad_tries,
         max_iterations=config.max_iterations,
-        min_dims_per_cluster=config.min_dims_per_cluster,
         seed=rng_iter,
         keep_history=keep_history,
         deadline=deadline,
@@ -256,7 +251,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
     with tracer.phase("refinement"):
         refined = refine_clusters(
             X, phase2.labels, phase2.medoid_indices, config.l,
-            min_dims_per_cluster=config.min_dims_per_cluster,
             fallback_dims=phase2.dim_sets,
             handle_outliers=handle_outliers,
             exclude_dims=exclude_dims,
@@ -292,7 +286,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
             min_deviation: float = 0.1, max_bad_tries: int = 20,
             max_iterations: int = 300,
             metric: Union[str, Metric] = "euclidean",
-            min_dims_per_cluster: int = 2,
             handle_outliers: bool = True,
             keep_history: bool = True,
             restarts: int = 1,
@@ -471,7 +464,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         if auto_degrade:
             plan = plan_degradation(
                 X, k, l, sample_factor, pool_factor,
-                min_dims_per_cluster=min_dims_per_cluster,
                 constant_dims=(report.constant_dims
                                if report is not None else ()),
             )
@@ -495,7 +487,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                     sample_factor=sample_factor, pool_factor=pool_factor,
                     min_deviation=min_deviation, max_bad_tries=max_bad_tries,
                     max_iterations=max_iterations, metric=metric,
-                    min_dims_per_cluster=min_dims_per_cluster,
                     handle_outliers=handle_outliers,
                     keep_history=keep_history,
                     restarts=restarts, fit_sample_size=fit_sample_size,
@@ -550,7 +541,6 @@ class Proclus:
                  min_deviation: float = 0.1, max_bad_tries: int = 20,
                  max_iterations: int = 300,
                  metric: Union[str, Metric] = "euclidean",
-                 min_dims_per_cluster: int = 2,
                  handle_outliers: bool = True,
                  keep_history: bool = True,
                  restarts: int = 1,
@@ -576,7 +566,6 @@ class Proclus:
         self.max_bad_tries = max_bad_tries
         self.max_iterations = max_iterations
         self.metric = metric
-        self.min_dims_per_cluster = min_dims_per_cluster
         self.handle_outliers = handle_outliers
         self.keep_history = keep_history
         self.restarts = restarts
@@ -607,7 +596,6 @@ class Proclus:
             max_bad_tries=self.max_bad_tries,
             max_iterations=self.max_iterations,
             metric=self.metric,
-            min_dims_per_cluster=self.min_dims_per_cluster,
             handle_outliers=self.handle_outliers,
             keep_history=self.keep_history,
             restarts=self.restarts,
@@ -633,15 +621,15 @@ class Proclus:
         return self.fit(X).labels_
 
     def predict(self, X: Union[np.ndarray, Dataset]) -> np.ndarray:
-        """Assign *new* points to the fitted medoids (no outlier logic)."""
-        result = self._fitted()
+        """Assign *new* points to the fitted medoids (no outlier logic).
+
+        :meth:`ProclusResult.predict
+        <repro.core.result.ProclusResult.predict>` with
+        ``handle_outliers=False``.
+        """
         if isinstance(X, Dataset):
             X = X.points
-        # new points join the fitted precision so the assignment argmin
-        # compares like-rounded segmental distances
-        X = check_array(X, name="X", dtype=result.medoids.dtype)
-        dim_sets = [result.dimensions[i] for i in range(result.k)]
-        return assign_points(X, result.medoids, dim_sets)
+        return self._fitted().predict(X, handle_outliers=False)
 
     # ------------------------------------------------------------------
     def _fitted(self) -> ProclusResult:

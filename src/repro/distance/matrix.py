@@ -225,12 +225,13 @@ def _block_rows(X: np.ndarray, n: Optional[int] = None) -> int:
     """Rows per block of an ``|X - m|`` pass over ``n`` rows of ``X``.
 
     The temporaries are the scratch and the tiled medoid in ``X``'s
-    dtype plus the float64 statistics buffer: at most
-    ``4 * d * itemsize`` bytes a row, what the memory budget test
-    charges for ``(2 * d, rows)`` temporaries.
+    dtype, the float64 statistics buffer and, for a narrower dtype, the
+    statistics' gather scratch: at most ``5 * d * itemsize`` bytes a
+    row, within what the memory budget test charges for
+    ``(3 * d, rows)`` temporaries.
     """
     d = X.shape[1]
-    return row_block_size(X.shape[0] if n is None else n, d, 2 * d,
+    return row_block_size(X.shape[0] if n is None else n, d, 3 * d,
                           X.dtype.itemsize, block_bytes=PASS_BLOCK_BYTES)
 
 
@@ -247,6 +248,8 @@ class _RowMean:
 
     def __init__(self, rows: int, d: int) -> None:
         self._buffer = np.empty((rows + 1, d), dtype=np.float64)
+        # picked rows of a narrower dtype, gathered before the cast
+        self._gathered: Optional[np.ndarray] = None
         self._sum: Optional[np.ndarray] = None
         self.count = 0
 
@@ -255,14 +258,20 @@ class _RowMean:
         first = 0 if self._sum is None else 1
         size = A.shape[0] if picked is None else picked.size
         block = self._buffer[first:first + size]
+        # picked comes from flatnonzero, so it is in range; mode="clip"
+        # writes straight into out ("raise" buffers)
         if picked is None:
             block[...] = A
         elif A.dtype == block.dtype:
-            # picked comes from flatnonzero, so it is in range;
-            # mode="clip" writes straight into block ("raise" buffers)
             np.take(A, picked, axis=0, out=block, mode="clip")
         else:
-            block[...] = A[picked]
+            # a gather into a reused scratch, then one contiguous cast:
+            # A[picked] would allocate the rows and cast from there
+            if self._gathered is None or self._gathered.dtype != A.dtype:
+                self._gathered = np.empty((self._buffer.shape[0] - 1,
+                                           A.shape[1]), dtype=A.dtype)
+            block[...] = np.take(A, picked, axis=0,
+                                 out=self._gathered[:size], mode="clip")
         if first:
             self._buffer[0] = self._sum
         self._sum = np.add.reduce(self._buffer[:first + size], axis=0)

@@ -21,7 +21,8 @@ in cache-sized row blocks, for its distance column, its locality and
 its statistics row.  Every value is
 the same IEEE computation on the same operands as in the uncached path,
 so results are **bit-identical** — the cache is a pure wall-clock
-optimisation.
+optimisation.  ``tests/test_reference_proclus.py`` checks both paths
+against a literal transcription of the paper.
 
 Memory is bounded: every store is an LRU evicting from the cold end
 once the total held bytes exceed the configured budget (default:
@@ -269,15 +270,45 @@ class IterativeCache:
         if members.size < min_size:
             members = select_locality(column, delta, row, min_size)
             stats = None
-        if self.locality_members(row, delta, min_size, metric) is None:
-            self.store_locality_members(row, delta, min_size, metric,
-                                        members)
+        self._store_locality(row, delta, min_size, metric, members)
         key = (int(row), float(delta), int(min_size), self._metric_key(metric))
         if self._stats.get(key) is None:
             if stats is None:
                 stats = per_dimension_average_distance(X, X[row],
                                                        rows=members)
             self._stats.put(key, stats)
+
+    def _store_locality(self, row: int, delta: np.floating, min_size: int,
+                        metric: MetricLike, members: np.ndarray) -> None:
+        """Record a new medoid's locality members under their key."""
+        key = (int(row), float(delta), int(min_size), self._metric_key(metric))
+        if self._locality.get(key) is None:
+            self._locality.put(key, members)
+
+    def localities(self, columns: Sequence[np.ndarray],
+                   medoid_indices: np.ndarray, metric: MetricLike, *,
+                   deltas: np.ndarray, min_size: int) -> List[np.ndarray]:
+        """The ``k`` locality member sets, one cached entry per medoid.
+
+        ``columns`` are the medoids' :meth:`distance_columns`.  A set is
+        the points within ``deltas[i]`` of medoid ``i``, the medoid
+        itself excluded, or its nearest ``min_size`` other points when
+        fewer qualify (:func:`select_locality`).  A new medoid's set was
+        stored by its distance pass; a retained medoid whose radius
+        moved selects it from its column.
+        """
+        mkey = self._metric_key(metric)
+        members_list: List[np.ndarray] = []
+        for j, row in enumerate(np.asarray(medoid_indices,
+                                           dtype=np.intp).tolist()):
+            key = (row, float(deltas[j]), int(min_size), mkey)
+            members = self._locality.get(key)
+            if members is None:
+                members = select_locality(columns[j], deltas[j], row,
+                                          min_size)
+                self._locality.put(key, members)
+            members_list.append(members)
+        return members_list
 
     # ------------------------------------------------------------------
     def segmental_matrix(self, X: np.ndarray, medoid_indices: np.ndarray,
@@ -320,22 +351,6 @@ class IterativeCache:
         return columns  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def locality_members(self, row: int, delta: float, min_size: int,
-                         metric: MetricLike) -> Optional[np.ndarray]:
-        """Cached locality member indices, or ``None`` on a miss."""
-        return self._locality.get(
-            (int(row), float(delta), int(min_size), self._metric_key(metric))
-        )
-
-    def store_locality_members(self, row: int, delta: float, min_size: int,
-                               metric: MetricLike,
-                               members: np.ndarray) -> None:
-        """Record a locality member set under its determining key."""
-        self._locality.put(
-            (int(row), float(delta), int(min_size), self._metric_key(metric)),
-            np.asarray(members, dtype=np.intp),
-        )
-
     def dimension_stats(self, X: np.ndarray, medoid_indices: np.ndarray,
                         localities: Sequence[np.ndarray],
                         deltas: np.ndarray, min_size: int,

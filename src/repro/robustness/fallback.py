@@ -79,7 +79,6 @@ class DegradationPlan:
 
 def plan_degradation(X: np.ndarray, k: int, l: float,
                      sample_factor: int, pool_factor: int, *,
-                     min_dims_per_cluster: int = 2,
                      constant_dims: Tuple[int, ...] = ()) -> DegradationPlan:
     """Walk the ladder and return feasible parameters for ``X``.
 
@@ -110,7 +109,7 @@ def plan_degradation(X: np.ndarray, k: int, l: float,
         return plan
 
     # Rung 2: l feasibility --------------------------------------------
-    floor = max(2, int(min_dims_per_cluster))
+    floor = 2  # the paper's minimum of 2 dimensions per cluster
     if d < floor:
         plan.use_kmedoids = True
         plan.messages.append(

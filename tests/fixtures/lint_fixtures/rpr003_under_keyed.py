@@ -17,11 +17,17 @@ class IterativeCache:
                 self._segmental.put(key, X[row])
         return X
 
-    def locality_members(self, row, delta, min_size, metric):
-        return self._locality.get((row, delta, min_size, metric))
+    def localities(self, columns, rows, metric, deltas, min_size):
+        for i, row in enumerate(rows):
+            key = (row, deltas[i], min_size, metric)
+            if self._locality.get(key) is None:
+                self._locality.put(key, columns[i])
+        return columns
 
-    def store_locality_members(self, row, delta, min_size, metric, members):
-        self._locality.put((row, delta, min_size, metric), members)
+    def _store_locality(self, row, delta, min_size, metric, members):
+        key = (row, delta, min_size, metric)
+        if self._locality.get(key) is None:
+            self._locality.put(key, members)
 
     def dimension_stats(self, X, rows, localities, deltas, min_size, metric):
         for i, row in enumerate(rows):

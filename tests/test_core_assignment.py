@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import assign_points
-from repro.core.assignment import segmental_distance_matrix
+from repro.core import assign_points, predict_points
 from repro.distance import segmental_distance
 from repro.exceptions import ParameterError
+
+
+def segmental_distance_matrix(X, medoids, dims):
+    """The ``(N, k)`` segmental distances ``assign_points`` returns."""
+    return assign_points(X, medoids, dims, return_distances=True)[1]
 
 
 class TestSegmentalDistanceMatrix:
@@ -71,20 +75,19 @@ class TestAssignPoints:
 
 
 class TestChunkedAssignment:
+    """Bounded-memory assignment of new points: predict_points' blocks."""
+
     def test_matches_unchunked(self, two_cluster_points):
-        from repro.core.assignment import assign_points_chunked
         X = two_cluster_points
         medoids = X[[5, 45]]
         dims = [(0, 1), (2, 3)]
         full = assign_points(X, medoids, dims)
         for chunk in (1, 7, 64, 1000):
-            chunked = assign_points_chunked(X, medoids, dims,
-                                            chunk_size=chunk)
+            chunked = predict_points(X, medoids, dims, handle_outliers=False,
+                                     chunk_size=chunk).labels
             assert (full == chunked).all()
 
     def test_invalid_chunk_size(self, two_cluster_points):
-        from repro.core.assignment import assign_points_chunked
-        with pytest.raises(ParameterError):
-            assign_points_chunked(two_cluster_points,
-                                  two_cluster_points[[0]], [(0,)],
-                                  chunk_size=0)
+        with pytest.raises(ParameterError, match="chunk_size"):
+            predict_points(two_cluster_points, two_cluster_points[[0]],
+                           [(0,)], chunk_size=0)

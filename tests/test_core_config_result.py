@@ -23,9 +23,9 @@ class TestProclusConfig:
         with pytest.raises(ParameterError):
             ProclusConfig(k=3, l=3, min_deviation=1.0).validated(1000, 10)
 
-    def test_min_dims_above_l_rejected(self):
-        with pytest.raises(ParameterError, match="min_dims_per_cluster"):
-            ProclusConfig(k=3, l=2, min_dims_per_cluster=3).validated(1000, 10)
+    def test_l_below_two_dims_per_cluster_rejected(self):
+        with pytest.raises(ParameterError, match="must be >= 2"):
+            ProclusConfig(k=2, l=1.5).validated(1000, 10)
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ParameterError):

@@ -137,6 +137,12 @@ class TestFindDimensions:
         dims = find_dimensions(two_cluster_points, np.array([5, 45]), l=3)
         assert sum(len(d) for d in dims) == 6
 
+    def test_given_empty_locality_rejected(self, two_cluster_points):
+        localities = [np.arange(6, 20), np.array([], dtype=np.intp)]
+        with pytest.raises(ParameterError, match="locality of medoid 1"):
+            find_dimensions(two_cluster_points, np.array([5, 45]), l=2,
+                            localities=localities)
+
     def test_from_clusters_variant(self, two_cluster_points):
         X = two_cluster_points
         labels = np.repeat([0, 1], 40)

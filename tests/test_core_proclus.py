@@ -108,6 +108,31 @@ class TestEstimator:
         mask = est.labels_ >= 0
         assert np.array_equal(predicted[mask], est.labels_[mask])
 
+    def test_float32_fit_float64_queries_keep_their_labels(self,
+                                                           easy_dataset):
+        """predict goes through ProclusResult.predict without outliers.
+
+        The labels equal the estimator's earlier path: the queries cast
+        to the fitted precision, then one ``assign_points`` call.
+        """
+        from repro.core import assign_points
+
+        train, held = easy_dataset.points[:1000], easy_dataset.points[1000:]
+        est = Proclus(k=3, l=5, seed=1, max_bad_tries=5,
+                      dtype="float32").fit(train)
+        dims = [est.dimensions_[i] for i in range(3)]
+        expected = assign_points(held.astype(np.float32), est.medoids_, dims)
+        got = est.predict(held.astype(np.float64))
+        assert est.medoids_.dtype == np.float32
+        assert np.array_equal(got, expected)
+
+    def test_predict_rejects_non_finite_queries(self, easy_dataset):
+        est = Proclus(k=3, l=5, seed=1, max_bad_tries=5).fit(easy_dataset.points)
+        queries = easy_dataset.points[:10].copy()
+        queries[4, 2] = np.nan
+        with pytest.raises(ParameterError, match="NaN or infinite"):
+            est.predict(queries)
+
 
 class TestObjectiveQuality:
     def test_objective_better_than_random_assignment(self, easy_dataset, fitted):

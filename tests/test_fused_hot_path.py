@@ -34,7 +34,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import core, proclus
-from repro.core.assignment import segmental_distance_matrix
 from repro.core.dimensions import compute_localities, find_dimensions
 from repro.core.objective import (_members_block, cluster_dispersions,
                                   cluster_dispersions_and_sizes,
@@ -207,7 +206,11 @@ class TestBlockedPassMatchesFullSlab:
             (got_column,) = cache.distance_columns(
                 X, np.array([row]), metric, deltas=np.array([delta]),
                 min_size=min_size)
-            members = cache.locality_members(row, delta, min_size, metric)
+            hits = cache.stats["locality"].hits
+            (members,) = cache.localities(
+                [got_column], np.array([row]), metric,
+                deltas=np.array([delta]), min_size=min_size)
+            assert cache.stats["locality"].hits == hits + 1  # filled in pass
             misses = cache.stats["stats"].misses
             stats = cache.dimension_stats(X, np.array([row]), [members],
                                           np.array([delta]), min_size,
@@ -379,8 +382,6 @@ _PUBLIC_STEPS = {
     "assign_points": lambda X: core.assign_points(X, X[_MEDOIDS], _DIMS),
     "evaluate_clusters": lambda X: core.evaluate_clusters(
         X, np.arange(X.shape[0]) % 2, _DIMS),
-    "segmental_distance_matrix": lambda X: segmental_distance_matrix(
-        X, X[_MEDOIDS], _DIMS),
     "cluster_dispersions": lambda X: cluster_dispersions(
         X, np.arange(X.shape[0]) % 2, _DIMS),
     "projected_objective": lambda X: projected_objective(

@@ -234,7 +234,7 @@ class TestSharedMatrixGuards:
 #: ``_fit`` keyword arguments as ``proclus()`` hands them to the runner.
 FIT_KWARGS = dict(
     k=3, l=3, sample_factor=30, pool_factor=5, min_deviation=0.1,
-    metric="euclidean", min_dims_per_cluster=2, handle_outliers=True,
+    metric="euclidean", handle_outliers=True,
     fit_sample_size=None, exclude_dims=(), cache=True, dtype="float64",
     **FAST,
 )
