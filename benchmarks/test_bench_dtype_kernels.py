@@ -56,7 +56,7 @@ def _workload(n_points, dtype):
 
 def _run(X, pool, cache):
     return run_iterative_phase(X, pool, K, L, seed=SEED,
-                               cache=cache, keep_history=False)
+                               cache=cache)
 
 
 def _fingerprint(out):

@@ -19,8 +19,7 @@ from repro.metrics import adjusted_rand_index
 def _compare_on_rotated():
     ds = generate_rotated(2000, 12, 3, cluster_dim_counts=[4, 4, 4], seed=5)
     o = orclus(ds.points, 3, 4, seed=5)
-    p = proclus(ds.points, 3, 4, seed=5, max_bad_tries=20,
-                keep_history=False)
+    p = proclus(ds.points, 3, 4, seed=5, max_bad_tries=20)
     return {
         "orclus_ari": adjusted_rand_index(o.labels, ds.labels),
         "proclus_ari": adjusted_rand_index(p.labels, ds.labels),
@@ -38,7 +37,7 @@ def _axis_parallel_fit():
     ds = generate(1500, 12, 3, cluster_dim_counts=[4, 4, 4],
                   outlier_fraction=0.0, seed=7)
     result = proclus(ds.points, 3, 4, seed=7, max_bad_tries=20,
-                     restarts=3, keep_history=False)
+                     restarts=3)
     return ds, result
 
 

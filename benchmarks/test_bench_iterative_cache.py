@@ -46,7 +46,7 @@ def _workload(n_points):
 
 def _run(X, pool, cache):
     return run_iterative_phase(X, pool, K, L, seed=SEED,
-                               cache=cache, keep_history=False)
+                               cache=cache)
 
 
 def _fingerprint(out):

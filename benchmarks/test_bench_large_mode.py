@@ -16,10 +16,9 @@ from repro.metrics import adjusted_rand_index
 def _compare(n=12_000, sample=2000):
     ds = generate(n, 16, 4, cluster_dim_counts=[5] * 4,
                   outlier_fraction=0.03, seed=70)
-    full = proclus(ds.points, 4, 5, seed=71, max_bad_tries=15,
-                   keep_history=False)
+    full = proclus(ds.points, 4, 5, seed=71, max_bad_tries=15)
     sampled = proclus(ds.points, 4, 5, seed=71, max_bad_tries=15,
-                      fit_sample_size=sample, keep_history=False)
+                      fit_sample_size=sample)
     return {
         "full_fit_seconds": full.phase_seconds["iterative"],
         "sampled_fit_seconds": sampled.phase_seconds["sample_fit"],

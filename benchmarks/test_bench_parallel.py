@@ -36,7 +36,7 @@ REPEATS = 3
 
 OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel_restarts.json"
 
-FIT = dict(seed=SEED, restarts=RESTARTS, keep_history=False)
+FIT = dict(seed=SEED, restarts=RESTARTS)
 
 
 def _workload(n_points=N_POINTS):

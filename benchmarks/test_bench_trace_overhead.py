@@ -43,7 +43,7 @@ def _workload():
 
 
 def _run(X, profile):
-    return proclus(X, K, L, seed=SEED, keep_history=False, profile=profile)
+    return proclus(X, K, L, seed=SEED, profile=profile)
 
 
 def _fingerprint(result):

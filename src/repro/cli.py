@@ -419,7 +419,7 @@ def _cmd_stability(args) -> int:
     ds = load_csv(args.input)
 
     def fit(X, seed):
-        return _proclus(X, args.k, args.l, seed=seed, keep_history=False)
+        return _proclus(X, args.k, args.l, seed=seed)
 
     print(stability_report(fit, ds.points, n_runs=args.n_runs,
                            seed=args.seed).to_text())

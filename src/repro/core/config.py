@@ -1,114 +1,168 @@
-"""PROCLUS configuration.
+"""PROCLUS configuration: the one record of a fit's parameters.
 
 The paper exposes two user parameters — the number of clusters ``k`` and
 the average cluster dimensionality ``l`` — plus several internal
-constants it names but does not fix numerically.  All of them live here
-with documented defaults:
-
-* ``sample_factor`` (the paper's ``A``): the initialization phase samples
-  ``A*k`` points.
-* ``pool_factor`` (the paper's ``B``, "a small constant"): the greedy
-  technique reduces the sample to a candidate pool of ``B*k`` medoids.
-* ``min_deviation``: clusters smaller than ``N/k * min_deviation`` mark
-  their medoid bad (paper: "in most experiments, we choose 0.1").
-* ``max_bad_tries``: the hill climbing stops after this many consecutive
-  vertices that fail to improve the best objective (the paper's
-  "certain number of vertices").
+constants it names but does not fix numerically.  :class:`ProclusConfig`
+holds them, together with every other :func:`~repro.core.proclus.proclus`
+keyword except the four that only the public boundary reads
+(``on_bad_values``, ``collapse_duplicates``, ``auto_degrade`` and
+``profile``).  ``proclus()`` builds the record once, checks it with
+:meth:`ProclusConfig.checked` before touching the data, and hands it to
+the fit; checks that depend on the data run later, in
+:meth:`ProclusConfig.validated`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import os
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Optional, Union
 
-from ..distance.base import Metric
+import numpy as np
+
+from ..distance.base import Metric, get_metric
 from ..exceptions import ParameterError
 from ..rng import SeedLike
 from ..validation import (
     check_dtype,
+    check_flag,
     check_fraction,
     check_k_l,
     check_max_retries,
     check_n_jobs,
     check_positive_int,
+    check_real,
     check_time_budget,
 )
 
 __all__ = ["ProclusConfig"]
 
+#: Field metadata marking an execution setting: how a fit is run, not
+#: what one restart computes.  These fields stay out of
+#: :meth:`ProclusConfig.restart_params`, so they are not part of a
+#: checkpoint's run fingerprint.
+_RUN: Dict[str, bool] = {"run": True}
+
 
 @dataclass
 class ProclusConfig:
-    """All PROCLUS knobs in one validated bundle.
+    """Every parameter of a PROCLUS fit, in one record.
 
     Parameters
     ----------
     k:
-        Number of clusters to find.
+        Number of clusters to find (an integer ``>= 1``, at most N).
     l:
-        Average number of dimensions per cluster; ``l >= 2`` and ``k*l``
-        integral (paper section 1).  Every cluster gets at least the
-        paper's 2 dimensions.
+        Average number of dimensions per cluster; ``2 <= l <= d`` and
+        ``k*l`` integral (paper section 1).  Every cluster gets at least
+        the paper's 2 dimensions.
     sample_factor:
-        ``A`` — random-sample size multiplier for the initialization phase.
+        ``A`` — the initialization phase samples ``A*k`` points.
     pool_factor:
-        ``B`` — candidate-medoid pool size multiplier (``B <= A``).
+        ``B`` (the paper's "small constant") — the greedy technique
+        reduces the sample to a candidate pool of ``B*k`` medoids;
+        ``B <= A``.
     min_deviation:
-        Bad-medoid threshold fraction (paper default 0.1).
+        Bad-medoid threshold, in ``[0, 1)``: clusters smaller than
+        ``N/k * min_deviation`` mark their medoid bad (paper: "in most
+        experiments, we choose 0.1").
     max_bad_tries:
-        Consecutive non-improving medoid swaps before termination.
+        The hill climbing stops after this many consecutive vertices
+        that fail to improve the best objective (the paper's "certain
+        number of vertices").
     max_iterations:
         Absolute safety cap on hill-climbing iterations.
     metric:
-        Full-dimensional metric for initialization/locality radii
+        Full-dimensional metric for initialization and locality radii
         (the paper leaves ``d(.,.)`` generic; default Euclidean).
-    time_budget_s:
-        Optional wall-clock budget for the fit.  When it expires the
-        hill climbing returns its best-so-far vertex with
-        ``terminated_by="deadline"`` instead of raising.  ``None``
-        (default) means unlimited.
+    handle_outliers:
+        Disable to keep every point assigned (ablation hook; the paper
+        always detects outliers in the refinement pass).
+    fit_sample_size:
+        CLARA-style large-database mode: run the initialization and the
+        hill climbing on a uniform subsample of this size, then perform
+        the refinement pass (dimension recomputation, assignment,
+        outlier detection) over the *full* data.  Cuts the
+        per-iteration O(N·k·d) cost to O(sample·k·d) while the final
+        clustering still covers every point.  ``None`` (default) uses
+        all points throughout, as the paper does.  Composes with
+        ``restarts``: every restart runs on its own subsample.  Must be
+        at least ``A * k`` when it is smaller than N.
     cache:
         Enable the incremental per-medoid distance cache
-        (:class:`~repro.perf.cache.IterativeCache`) in the iterative
-        and refinement phases.  Default on; results are bit-identical
-        either way, only the wall clock changes.
-    n_jobs:
-        Worker count for multi-restart fits, run by the restart
-        supervisor (:mod:`repro.robustness.supervisor`): ``1``
-        (default) is the exact serial loop, ``>= 2`` fans the restarts
-        out over a process pool with a shared-memory data plane, ``-1``
-        uses all cores.  Results are bit-identical for any value.
-    max_retries:
-        Retry budget per restart under the fault-tolerant supervisor
-        (:mod:`repro.robustness.supervisor`): a crashed or hung worker's
-        restart is resubmitted up to this many times (deterministic —
-        each attempt replays the identical seed stream) before the
-        restart degrades to the in-process serial loop.  ``0`` disables
-        retries (failed restarts go straight to serial salvage).
-    restart_timeout_s:
-        Per-restart wall-clock cap in the multi-restart fan-out;
-        an in-flight restart exceeding it is treated as hung: the
-        worker is replaced and the restart charged a retry.  ``None``
-        (default) disables hang detection.
-    checkpoint_dir:
-        Directory for atomic per-restart checkpoints of a multi-restart
-        fit.  Each completed restart persists immediately; an
-        interrupted run can later be resumed (``resume=True``) and is
-        bit-identical to an uninterrupted one.  ``None`` (default)
-        disables checkpointing.
-    resume:
-        Resume a previous checkpointed run from ``checkpoint_dir``:
-        completed restarts are loaded, only the remainder is computed.
-        Requires ``checkpoint_dir``; raises
-        :class:`~repro.exceptions.CheckpointError` when the directory
-        records a different run (other seed, restarts, or parameters).
+        (:class:`~repro.perf.cache.IterativeCache`, default on): each
+        hill-climbing vertex recomputes only the columns its medoid
+        swaps invalidated, bounded in memory by the same budget the
+        distance kernels honour.  Results are bit-identical with the
+        cache on or off; hit statistics land on ``result.cache_stats``.
+        See ``docs/performance.md``.
     dtype:
-        Working dtype of the compute path: ``"float64"`` (default, the
-        historical bit-exact path) or ``"float32"`` (half the memory
-        bandwidth in every kernel; deterministic within the dtype but
-        not bit-comparable to float64 runs).  See ``docs/performance.md``.
+        Working dtype of the compute path: ``"float64"`` (default) or
+        ``"float32"``.  The input is converted **once** at the public
+        boundary; every kernel downstream — segmental columns, cross
+        distances, the cache's stored columns, the shared-memory
+        fan-out — then computes natively in that dtype, halving bytes
+        moved for float32 (ranking statistics still accumulate in
+        float64).  ``"float64"`` runs are bit-identical to the
+        historical path; ``"float32"`` runs are deterministically
+        reproducible within the dtype but not bit-comparable across
+        dtypes (checkpoints record the dtype and refuse to resume a run
+        of the other precision).
+    restarts:
+        Run the whole pipeline this many times with independent random
+        streams and keep the run with the lowest *iterative-phase*
+        objective.  The hill climbing is a randomised local search and
+        can converge with two medoids piercing one natural cluster; the
+        paper's own remedy (section 4.3) is to "simply run the
+        algorithm a few times".  Selection uses the iterative objective
+        because the refined one shrinks artificially when a bad
+        solution declares many points outliers.
+    time_budget_s:
+        Wall-clock budget for the whole fit.  On expiry the hill
+        climbing returns best-so-far with
+        ``result.terminated_by == "deadline"`` (the first iteration
+        always completes); remaining restarts are skipped.  ``None``
+        (default) means unlimited.
+    n_jobs:
+        Worker count for ``restarts > 1``, run by the restart supervisor
+        (:mod:`repro.robustness.supervisor`).  ``1`` (default) is the
+        exact serial loop; ``>= 2`` fans the restarts out over that many
+        processes, sharing the sanitized data matrix through a zero-copy
+        shared-memory plane; ``-1`` uses all cores.  Results are
+        bit-identical to the serial loop for any ``n_jobs``: child seeds
+        are spawned in the parent and the winner is reduced by
+        ``(iterative_objective, restart_index)``, which is
+        order-independent.  Worker and timing diagnostics land on
+        ``result.parallelism``.
+    max_retries:
+        Retry budget per restart under the supervisor: a crashed or hung
+        worker's restart is resubmitted (replaying the identical seed
+        stream, so retries are bit-deterministic) up to this many times,
+        then degrades to the in-process serial loop.  ``0`` disables
+        retries.  Diagnostics land on ``result.fault_tolerance``.
+    restart_timeout_s:
+        Wall-clock cap per restart in the parallel fan-out; an in-flight
+        restart exceeding it is treated as hung: the worker is replaced
+        and the restart charged a retry.  ``None`` (default) disables
+        hang detection.
+    checkpoint_dir:
+        Persist every completed restart of a multi-restart fit to this
+        directory (atomic write-temp-then-rename).  An interrupted run
+        — SIGINT/SIGTERM returns best-so-far with
+        ``result.terminated_by == "signal"`` — can then be resumed.
+        ``None`` (default) disables checkpointing.
+    resume:
+        Resume from ``checkpoint_dir``: completed restarts are loaded
+        and skipped, and the final result is bit-identical to an
+        uninterrupted run.  Requires ``checkpoint_dir``.  A manifest
+        recorded by a different run (other seed, restarts, or any field
+        of :meth:`restart_params`) raises
+        :class:`~repro.exceptions.CheckpointError`; the execution
+        settings (``n_jobs``, ``max_retries``, ``restart_timeout_s``,
+        ``time_budget_s``) may differ.
     seed:
-        Seed or generator for all randomised steps.
+        ``None``, an integer ``>= 0`` or a numpy ``Generator``: the
+        source of every random draw.
     """
 
     k: int
@@ -119,22 +173,37 @@ class ProclusConfig:
     max_bad_tries: int = 20
     max_iterations: int = 300
     metric: Union[str, Metric] = "euclidean"
-    time_budget_s: Optional[float] = None
+    handle_outliers: bool = True
+    fit_sample_size: Optional[int] = None
     cache: bool = True
-    n_jobs: int = 1
-    max_retries: int = 2
-    restart_timeout_s: Optional[float] = None
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
     dtype: str = "float64"
-    seed: SeedLike = None
-    extra: dict = field(default_factory=dict)
+    restarts: int = field(default=1, metadata=_RUN)
+    time_budget_s: Optional[float] = field(default=None, metadata=_RUN)
+    n_jobs: int = field(default=1, metadata=_RUN)
+    max_retries: int = field(default=2, metadata=_RUN)
+    restart_timeout_s: Optional[float] = field(default=None, metadata=_RUN)
+    checkpoint_dir: Optional[str] = field(default=None, metadata=_RUN)
+    resume: bool = field(default=False, metadata=_RUN)
+    seed: SeedLike = field(default=None, metadata=_RUN)
 
-    def validated(self, n_points: int, n_dims: int) -> "ProclusConfig":
-        """Validate against a concrete dataset shape; returns ``self``."""
-        self.k, self.l = check_k_l(self.k, self.l, n_dims, n_points)
-        check_positive_int(self.sample_factor, name="sample_factor", minimum=1)
-        check_positive_int(self.pool_factor, name="pool_factor", minimum=1)
+    def checked(self) -> "ProclusConfig":
+        """Check every field that does not depend on the data; return ``self``.
+
+        Values are normalised in place (numpy integers to ``int``, the
+        dtype to its name).  Any malformed field raises
+        :class:`~repro.exceptions.ParameterError`.
+        """
+        for name in ("k", "sample_factor", "pool_factor", "max_bad_tries",
+                     "max_iterations", "restarts"):
+            setattr(self, name,
+                    check_positive_int(getattr(self, name), name=name))
+        for name in ("handle_outliers", "cache", "resume"):
+            setattr(self, name, check_flag(getattr(self, name), name=name))
+        for name in ("time_budget_s", "restart_timeout_s"):
+            setattr(self, name,
+                    check_time_budget(getattr(self, name), name=name))
+        if not np.isfinite(check_real(self.l, name="l")):
+            raise ParameterError(f"l must be finite; got {self.l}")
         if self.pool_factor > self.sample_factor:
             raise ParameterError(
                 "pool_factor (B) must be <= sample_factor (A); got "
@@ -143,25 +212,56 @@ class ProclusConfig:
         self.min_deviation = check_fraction(
             self.min_deviation, name="min_deviation", inclusive_high=False
         )
-        check_positive_int(self.max_bad_tries, name="max_bad_tries", minimum=1)
-        check_positive_int(self.max_iterations, name="max_iterations", minimum=1)
-        self.time_budget_s = check_time_budget(self.time_budget_s)
-        self.cache = bool(self.cache)
+        get_metric(self.metric)
+        if self.fit_sample_size is not None:
+            self.fit_sample_size = check_positive_int(
+                self.fit_sample_size, name="fit_sample_size")
+        self.dtype = check_dtype(self.dtype)
         self.n_jobs = check_n_jobs(self.n_jobs)
         self.max_retries = check_max_retries(self.max_retries)
-        self.restart_timeout_s = check_time_budget(
-            self.restart_timeout_s, name="restart_timeout_s")
-        self.resume = bool(self.resume)
-        self.dtype = check_dtype(self.dtype)
         if self.checkpoint_dir is not None:
+            if not isinstance(self.checkpoint_dir, (str, os.PathLike)):
+                raise ParameterError(
+                    "checkpoint_dir must be None or a path; got "
+                    f"{self.checkpoint_dir!r}"
+                )
             self.checkpoint_dir = str(self.checkpoint_dir)
         if self.resume and self.checkpoint_dir is None:
-            raise ParameterError(
-                "resume=True requires checkpoint_dir to be set"
-            )
-        if self.k > n_points:
-            raise ParameterError(f"k={self.k} exceeds N={n_points}")
+            raise ParameterError("resume=True requires checkpoint_dir to be set")
+        if not (self.seed is None
+                or isinstance(self.seed, np.random.Generator)):
+            self.seed = check_positive_int(self.seed, name="seed", minimum=0)
         return self
+
+    def validated(self, n_points: int, n_dims: int) -> "ProclusConfig":
+        """:meth:`checked`, then the checks against a dataset shape.
+
+        ``k`` and ``l`` are checked against ``N`` and ``d``, and a
+        ``fit_sample_size`` below ``N`` against the initialization's
+        ``A * k``.  Returns ``self``.
+        """
+        self.checked()
+        self.k, self.l = check_k_l(self.k, self.l, n_dims, n_points)
+        if (self.fit_sample_size is not None
+                and self.sample_size > self.fit_sample_size < n_points):
+            raise ParameterError(
+                f"fit_sample_size={self.fit_sample_size} is smaller than "
+                f"the initialization needs (A*k = {self.sample_size})"
+            )
+        return self
+
+    def restart_params(self) -> Dict[str, Any]:
+        """The fields that define what one restart computes, as a dict.
+
+        Every field except the execution settings (``restarts``,
+        ``time_budget_s``, ``n_jobs``, ``max_retries``,
+        ``restart_timeout_s``, ``checkpoint_dir``, ``resume``, ``seed``).
+        The dict crosses the process boundary to restart workers and is
+        hashed into a checkpoint's run fingerprint, so a run may resume
+        under other execution settings.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if not f.metadata}
 
     @property
     def total_dimensions(self) -> int:

@@ -121,9 +121,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                         min_deviation: float = 0.1,
                         max_bad_tries: int = 20,
                         max_iterations: int = 300,
-                        min_dims_per_cluster: int = 2,
                         seed: SeedLike = None,
-                        keep_history: bool = True,
                         deadline: Optional[Deadline] = None,
                         exclude_dims: Sequence[int] = (),
                         cache: Union[bool, IterativeCache, None] = None) -> IterativePhaseResult:
@@ -184,11 +182,8 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                     tracer.event("deadline_expired", iteration=iteration)
                 break
             iteration += 1
-            localities, deltas = compute_localities(
-                X, current, metric=metric,
-                min_locality_size=max(2, min_dims_per_cluster),
-                cache=cache,
-            )
+            localities, deltas = compute_localities(X, current, metric=metric,
+                                                    cache=cache)
             if out_of_time():
                 terminated_by = "deadline"
                 iteration -= 1  # this vertex was never evaluated
@@ -196,8 +191,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                     tracer.event("deadline_expired", iteration=iteration)
                 break
             dims = find_dimensions(
-                X, current, l, metric=metric,
-                min_per_cluster=min_dims_per_cluster, localities=localities,
+                X, current, l, metric=metric, localities=localities,
                 exclude_dims=exclude_dims, cache=cache, deltas=deltas,
             )
             labels = assign_points(X, X[current], dims,
@@ -205,8 +199,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
             objective = evaluate_clusters(X, labels, dims, Xc=Xc)
 
             improved = objective < best_obj
-            visited_bad = (find_bad_medoids(labels, k, min_deviation)
-                           if improved or keep_history else [])
+            visited_bad = find_bad_medoids(labels, k, min_deviation)
             if improved:
                 best_obj = objective
                 best_medoids = current.copy()
@@ -227,15 +220,14 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                              objective=float(objective), improved=improved,
                              n_bad=len(visited_bad))
 
-            if keep_history:
-                history.append(IterationRecord(
-                    iteration=iteration,
-                    objective=float(objective),
-                    improved=improved,
-                    medoid_indices=tuple(int(i) for i in current),
-                    bad_positions=tuple(visited_bad),
-                    locality_sizes=tuple(len(loc) for loc in localities),
-                ))
+            history.append(IterationRecord(
+                iteration=iteration,
+                objective=float(objective),
+                improved=improved,
+                medoid_indices=tuple(int(i) for i in current),
+                bad_positions=tuple(visited_bad),
+                locality_sizes=tuple(len(loc) for loc in localities),
+            ))
 
             if tries_without_improvement >= max_bad_tries:
                 terminated_by = "no_improvement"

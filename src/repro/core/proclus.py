@@ -12,8 +12,10 @@ Example
 
 from __future__ import annotations
 
+import inspect
 import warnings as _warnings
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from ..rng import SeedLike, ensure_rng, spawn
 from ..robustness.fallback import kmedoids_fallback, plan_degradation
 from ..robustness.guards import Deadline
 from ..robustness.sanitize import SanitizationReport, sanitize
-from ..validation import (check_array, check_dtype, check_max_retries,
-                          check_n_jobs, check_time_budget)
+from ..validation import check_array, check_flag
 from .assignment import assign_points
 from .config import ProclusConfig
 from .initialization import initialize_medoid_pool
@@ -45,29 +46,17 @@ from .result import ProclusResult
 __all__ = ["Proclus", "proclus"]
 
 
-def _fit(X: np.ndarray, k: int, l: float, *,
-         sample_factor: int, pool_factor: int, min_deviation: float,
-         max_bad_tries: int, max_iterations: int,
-         metric: Union[str, Metric],
-         handle_outliers: bool, keep_history: bool, restarts: int,
-         fit_sample_size: Optional[int], seed: SeedLike,
-         deadline: Optional[Deadline],
-         exclude_dims: Sequence[int],
-         notes: List[str], cache: bool = True,
-         n_jobs: int = 1, max_retries: int = 2,
-         restart_timeout_s: Optional[float] = None,
-         checkpoint_dir: Optional[str] = None,
-         resume: bool = False,
-         profile: bool = False,
-         dtype: str = "float64") -> ProclusResult:
+def _fit(X: np.ndarray, config: ProclusConfig, *,
+         deadline: Optional[Deadline], exclude_dims: Sequence[int],
+         notes: List[str]) -> ProclusResult:
     """Fit on already-sanitized data (the body behind :func:`proclus`).
 
-    ``X`` arrives already converted to ``dtype`` by the public
-    boundary; the parameter is threaded so restart workers, checkpoint
-    fingerprints, and the validated config all agree on the precision.
+    ``X`` arrives already converted to ``config.dtype`` by the public
+    boundary; the record is validated here against ``X``'s shape.
     """
+    config = config.validated(X.shape[0], X.shape[1])
     tracer = get_tracer()
-    if restarts > 1:
+    if config.restarts > 1:
         # Multi-restart runs execute under the fault-tolerant supervisor
         # (crash retry, hang replacement, checkpoint/resume, signal-safe
         # shutdown); both its loops reduce the winner by the
@@ -77,34 +66,23 @@ def _fit(X: np.ndarray, k: int, l: float, *,
                                              run_serial_restarts,
                                              supervise_restarts)
 
-        rng = ensure_rng(seed)
-        children = spawn(rng, restarts)
-        fit_kwargs = dict(
-            k=k, l=l,
-            sample_factor=sample_factor, pool_factor=pool_factor,
-            min_deviation=min_deviation,
-            max_bad_tries=max_bad_tries,
-            max_iterations=max_iterations, metric=metric,
-            handle_outliers=handle_outliers,
-            keep_history=keep_history,
-            fit_sample_size=fit_sample_size,
-            exclude_dims=exclude_dims, cache=cache,
-            dtype=dtype,
-        )
+        children = spawn(ensure_rng(config.seed), config.restarts)
+        fit_kwargs = dict(config.restart_params(), exclude_dims=exclude_dims)
         checkpoint = None
-        if checkpoint_dir is not None:
+        if config.checkpoint_dir is not None:
             checkpoint = RunCheckpoint.open(
-                checkpoint_dir, children=children,
-                fit_kwargs=fit_kwargs, resume=resume,
+                config.checkpoint_dir, children=children,
+                fit_kwargs=fit_kwargs, resume=config.resume,
             )
         fan_t0 = monotonic_s()
-        with tracer.span("restarts", restarts=restarts, n_jobs=n_jobs):
-            if resolve_n_jobs(n_jobs, n_tasks=restarts) > 1:
+        with tracer.span("restarts", restarts=config.restarts,
+                         n_jobs=config.n_jobs):
+            if resolve_n_jobs(config.n_jobs, n_tasks=config.restarts) > 1:
                 outcome = supervise_restarts(
-                    X, children, n_jobs=n_jobs, deadline=deadline,
-                    fit_kwargs=fit_kwargs, max_retries=max_retries,
-                    restart_timeout_s=restart_timeout_s,
-                    checkpoint=checkpoint, profile=profile,
+                    X, children, n_jobs=config.n_jobs, deadline=deadline,
+                    fit_kwargs=fit_kwargs, max_retries=config.max_retries,
+                    restart_timeout_s=config.restart_timeout_s,
+                    checkpoint=checkpoint, profile=tracer.enabled,
                 )
             else:
                 outcome = run_serial_restarts(
@@ -118,16 +96,16 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         if outcome.interrupted:
             notes.append(
                 f"interrupted by signal after {outcome.completed} of "
-                f"{restarts} restarts; returning the best completed run"
+                f"{config.restarts} restarts; returning the best completed run"
             )
             best.terminated_by = "signal"
         elif outcome.cancelled:
             notes.append(
                 f"time budget exhausted after {outcome.completed} of "
-                f"{restarts} restarts; returning the best completed run"
+                f"{config.restarts} restarts; returning the best completed run"
             )
         best.parallelism = {
-            "n_jobs": n_jobs,
+            "n_jobs": config.n_jobs,
             "n_workers": outcome.n_workers,
             "restarts_completed": outcome.completed,
             "restart_seconds": outcome.restart_seconds,
@@ -144,28 +122,20 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         best.fault_tolerance = ft
         return best
 
-    if fit_sample_size is not None and fit_sample_size < X.shape[0]:
-        if fit_sample_size < max(sample_factor, pool_factor) * k:
-            raise ParameterError(
-                f"fit_sample_size={fit_sample_size} is smaller than the "
-                f"initialization needs (A*k = {sample_factor * k})"
-            )
-        rng = ensure_rng(seed)
-        rng_sample, rng_fit = spawn(rng, 2)
+    cache_obj = IterativeCache() if config.cache else None
+    sample_size = config.fit_sample_size
+    if sample_size is not None and sample_size < X.shape[0]:
+        rng_sample, rng_fit = spawn(ensure_rng(config.seed), 2)
         sample_idx = rng_sample.choice(
-            X.shape[0], size=fit_sample_size, replace=False,
+            X.shape[0], size=sample_size, replace=False,
         )
         t0 = monotonic_s()
-        with tracer.phase("sample_fit", sample_size=fit_sample_size):
+        with tracer.phase("sample_fit", sample_size=sample_size):
             sub = _fit(
-                X[sample_idx], k, l,
-                sample_factor=sample_factor, pool_factor=pool_factor,
-                min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-                max_iterations=max_iterations, metric=metric,
-                handle_outliers=False, keep_history=keep_history,
-                restarts=1, fit_sample_size=None, seed=rng_fit,
+                X[sample_idx],
+                replace(config, handle_outliers=False, fit_sample_size=None,
+                        seed=rng_fit),
                 deadline=deadline, exclude_dims=exclude_dims, notes=notes,
-                cache=cache, n_jobs=n_jobs, dtype=dtype,
             )
         t_sample_fit = monotonic_s() - t0
         # refinement over the FULL database with the sample's medoids.
@@ -174,16 +144,15 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         # for medoids whose dimension set survives).
         t0 = monotonic_s()
         with tracer.phase("refinement"):
-            cache_obj = IterativeCache() if cache else None
             medoid_indices = sample_idx[sub.medoid_indices]
-            dim_sets = [sub.dimensions[i] for i in range(k)]
+            dim_sets = [sub.dimensions[i] for i in range(config.k)]
             full_labels = assign_points(X, X[medoid_indices], dim_sets,
                                         cache=cache_obj,
                                         medoid_indices=medoid_indices)
             refined = refine_clusters(
-                X, full_labels, medoid_indices, l,
+                X, full_labels, medoid_indices, config.l,
                 fallback_dims=dim_sets,
-                handle_outliers=handle_outliers,
+                handle_outliers=config.handle_outliers,
                 exclude_dims=exclude_dims,
                 cache=cache_obj,
             )
@@ -207,19 +176,7 @@ def _fit(X: np.ndarray, k: int, l: float, *,
                          if cache_obj is not None else None),
         )
 
-    config = ProclusConfig(
-        k=k, l=l, sample_factor=sample_factor, pool_factor=pool_factor,
-        min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-        max_iterations=max_iterations, metric=metric,
-        time_budget_s=deadline.budget_s if deadline is not None else None,
-        cache=cache,
-        n_jobs=n_jobs,
-        dtype=dtype,
-        seed=seed,
-    ).validated(X.shape[0], X.shape[1])
-
-    rng = ensure_rng(config.seed)
-    rng_init, rng_iter = spawn(rng, 2)
+    rng_init, rng_iter = spawn(ensure_rng(config.seed), 2)
 
     # Phase 1: initialization ------------------------------------------
     t0 = monotonic_s()
@@ -232,7 +189,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
     t_init = monotonic_s() - t0
 
     # Phase 2: iterative hill climbing ---------------------------------
-    cache_obj = IterativeCache() if config.cache else None
     phase2 = run_iterative_phase(
         X, pool, config.k, config.l,
         metric=config.metric,
@@ -240,7 +196,6 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         max_bad_tries=config.max_bad_tries,
         max_iterations=config.max_iterations,
         seed=rng_iter,
-        keep_history=keep_history,
         deadline=deadline,
         exclude_dims=exclude_dims,
         cache=cache_obj,
@@ -252,7 +207,7 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         refined = refine_clusters(
             X, phase2.labels, phase2.medoid_indices, config.l,
             fallback_dims=phase2.dim_sets,
-            handle_outliers=handle_outliers,
+            handle_outliers=config.handle_outliers,
             exclude_dims=exclude_dims,
             cache=cache_obj,
         )
@@ -287,7 +242,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
             max_iterations: int = 300,
             metric: Union[str, Metric] = "euclidean",
             handle_outliers: bool = True,
-            keep_history: bool = True,
             restarts: int = 1,
             fit_sample_size: Optional[int] = None,
             on_bad_values: str = "raise",
@@ -305,33 +259,15 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
             seed: SeedLike = None) -> ProclusResult:
     """Run PROCLUS end-to-end and return a :class:`ProclusResult`.
 
+    ``X`` is a data matrix ``(N, d)`` or a :class:`~repro.data.Dataset`.
+    ``k``, ``l`` and every other keyword except the four below are the
+    fields of :class:`~repro.core.config.ProclusConfig`, which documents
+    them.  All keywords are checked before the data is touched: a
+    malformed value raises :class:`~repro.exceptions.ParameterError`,
+    with or without ``auto_degrade``.
+
     Parameters
     ----------
-    X:
-        Data matrix ``(N, d)`` or a :class:`~repro.data.Dataset`.
-    k, l:
-        Number of clusters and average cluster dimensionality.
-    handle_outliers:
-        Disable to keep every point assigned (ablation hook; the paper
-        always detects outliers in the refinement pass).
-    restarts:
-        Run the whole pipeline this many times with independent random
-        streams and keep the run with the lowest *iterative-phase*
-        objective.  The hill climbing is a randomised local search and
-        can converge with two medoids piercing one natural cluster; the
-        paper's own remedy (section 4.3) is to "simply run the
-        algorithm a few times".  Selection uses the iterative objective
-        because the refined one shrinks artificially when a bad
-        solution declares many points outliers.
-    fit_sample_size:
-        CLARA-style large-database mode: run the initialization and the
-        hill climbing on a uniform subsample of this size, then perform
-        the refinement pass (dimension recomputation, assignment,
-        outlier detection) over the *full* data.  Cuts the per-iteration
-        O(N·k·d) cost to O(sample·k·d) while the final clustering still
-        covers every point.  ``None`` (default) uses all points
-        throughout, as the paper does.  Composes with ``restarts``:
-        every restart runs in large-database mode on its own subsample.
     on_bad_values:
         Policy for NaN/inf cells: ``"raise"`` (default — the historical
         behaviour), ``"drop"``, ``"impute_median"``, or ``"clip"``.  Any
@@ -346,58 +282,11 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         ``k`` is reduced below the number of distinct points, infeasible
         ``l``/pool factors are clamped, constant dimensions are excluded
         from the Z-score ranking, and — when projected clustering is
-        impossible — the full-dimensional
+        impossible on this data — the full-dimensional
         :func:`~repro.robustness.kmedoids_fallback` is used.  Every
         adjustment is recorded on ``result.warnings`` and flips
         ``result.degraded``.  Default off: degenerate inputs raise, as
         before.
-    time_budget_s:
-        Wall-clock budget for the whole fit.  On expiry the hill
-        climbing returns best-so-far with
-        ``result.terminated_by == "deadline"`` (the first iteration
-        always completes); remaining restarts are skipped.
-    cache:
-        Enable the incremental per-medoid distance cache
-        (:class:`~repro.perf.cache.IterativeCache`, default on): each
-        hill-climbing vertex recomputes only the columns its medoid
-        swaps invalidated, bounded in memory by the same budget the
-        distance kernels honour.  Results are bit-identical with the
-        cache on or off; hit statistics land on
-        ``result.cache_stats``.  See ``docs/performance.md``.
-    n_jobs:
-        Worker count for ``restarts > 1``, run by the restart
-        supervisor (:mod:`repro.robustness.supervisor`).  ``1``
-        (default) is the exact serial loop; ``>= 2`` fans the restarts
-        out over that many processes, sharing the sanitized data matrix
-        through a zero-copy shared-memory plane; ``-1`` uses all
-        cores.  Results are bit-identical to the serial loop for any
-        ``n_jobs``: child seeds are spawned in the parent and the
-        winner is reduced by ``(iterative_objective, restart_index)``,
-        which is order-independent.  Worker/timing diagnostics land on
-        ``result.parallelism``.  Each worker builds its own
-        :class:`~repro.perf.cache.IterativeCache` when ``cache=True``.
-    max_retries:
-        Per-restart retry budget under the fault-tolerant supervisor
-        that runs every multi-restart fit: a crashed or hung worker's
-        restart is resubmitted (replaying the identical seed stream, so
-        retries are bit-deterministic) up to this many times, then
-        degrades to the in-process serial loop.  ``0`` disables
-        retries.  Diagnostics land on ``result.fault_tolerance``.
-    restart_timeout_s:
-        Wall-clock cap per restart in the parallel fan-out; an
-        in-flight restart exceeding it is treated as hung and charged a
-        retry.  ``None`` (default) disables hang detection.
-    checkpoint_dir:
-        Persist every completed restart of a multi-restart fit to this
-        directory (atomic write-temp-then-rename).  An interrupted run
-        — SIGINT/SIGTERM returns best-so-far with
-        ``result.terminated_by == "signal"`` — can then be resumed.
-    resume:
-        Resume from ``checkpoint_dir``: completed restarts are loaded
-        and skipped, and the final result is bit-identical to an
-        uninterrupted run.  A manifest recorded by a different run
-        (other seed, restarts, or parameters) raises
-        :class:`~repro.exceptions.CheckpointError`.
     profile:
         Record a structured observability profile of the fit
         (:mod:`repro.obs`): per-phase wall seconds, hot-path counters,
@@ -411,34 +300,25 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         winner's worker-side profile is embedded under
         ``result.profile["winner"]``.  Default off: the no-op tracer
         costs nothing measurable.
-    dtype:
-        Working dtype of the compute path: ``"float64"`` (default) or
-        ``"float32"``.  The input is converted **once** at this
-        boundary; every kernel downstream — segmental columns, cross
-        distances, the cache's stored columns, the shared-memory fan-out
-        — then computes natively in that dtype, halving bytes moved for
-        float32 (ranking statistics still accumulate in float64; see
-        ``docs/performance.md``).  ``"float64"`` runs are bit-identical
-        to the historical path; ``"float32"`` runs are deterministically
-        reproducible within the dtype but not bit-comparable across
-        dtypes (checkpoints record the dtype and refuse to resume a
-        run of the other precision).
-
-    Other parameters are documented on
-    :class:`~repro.core.config.ProclusConfig`.
     """
+    config = ProclusConfig(
+        k=k, l=l, sample_factor=sample_factor, pool_factor=pool_factor,
+        min_deviation=min_deviation, max_bad_tries=max_bad_tries,
+        max_iterations=max_iterations, metric=metric,
+        handle_outliers=handle_outliers, fit_sample_size=fit_sample_size,
+        cache=cache, dtype=dtype, restarts=restarts,
+        time_budget_s=time_budget_s, n_jobs=n_jobs, max_retries=max_retries,
+        restart_timeout_s=restart_timeout_s, checkpoint_dir=checkpoint_dir,
+        resume=resume, seed=seed,
+    ).checked()
+    collapse_duplicates = check_flag(collapse_duplicates,
+                                     name="collapse_duplicates")
+    auto_degrade = check_flag(auto_degrade, name="auto_degrade")
+    profile = check_flag(profile, name="profile")
     if isinstance(X, Dataset):
         X = X.points
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1; got {restarts}")
-    n_jobs = check_n_jobs(n_jobs)
-    max_retries = check_max_retries(max_retries)
-    dtype = check_dtype(dtype)
-    restart_timeout_s = check_time_budget(
-        restart_timeout_s, name="restart_timeout_s")
-    if resume and checkpoint_dir is None:
-        raise ParameterError("resume=True requires checkpoint_dir to be set")
-    deadline = Deadline.start(time_budget_s) if time_budget_s is not None else None
+    deadline = (Deadline.start(config.time_budget_s)
+                if config.time_budget_s is not None else None)
 
     notes: List[str] = []
     report: Optional[SanitizationReport] = None
@@ -451,26 +331,28 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                 X, report = sanitize(
                     X, on_bad_values=on_bad_values,
                     collapse_duplicates=collapse_duplicates, warn=False,
-                    dtype=dtype,
+                    dtype=config.dtype,
                 )
             notes.extend(report.messages)
             degraded = degraded or report.changed
         else:
             # the single sanctioned conversion point: everything below
             # computes natively in the working dtype
-            X = check_array(X, name="X", dtype=np.dtype(dtype))
+            X = check_array(X, name="X", dtype=np.dtype(config.dtype))
 
         use_kmedoids = False
         if auto_degrade:
             plan = plan_degradation(
-                X, k, l, sample_factor, pool_factor,
+                X, config.k, config.l, config.sample_factor,
+                config.pool_factor,
                 constant_dims=(report.constant_dims
                                if report is not None else ()),
             )
             notes.extend(plan.messages)
             degraded = degraded or plan.degraded
-            k, l = plan.k, plan.l
-            sample_factor, pool_factor = plan.sample_factor, plan.pool_factor
+            config = replace(config, k=plan.k, l=plan.l,
+                             sample_factor=plan.sample_factor,
+                             pool_factor=plan.pool_factor)
             exclude_dims = plan.exclude_dims
             use_kmedoids = plan.use_kmedoids
             if tracer.enabled and plan.degraded:
@@ -479,24 +361,12 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                              n_excluded_dims=len(plan.exclude_dims))
 
         if use_kmedoids:
-            result = kmedoids_fallback(X, k, seed=seed, metric=metric)
+            result = kmedoids_fallback(X, config.k, seed=config.seed,
+                                       metric=config.metric)
         else:
             try:
-                result = _fit(
-                    X, k, l,
-                    sample_factor=sample_factor, pool_factor=pool_factor,
-                    min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-                    max_iterations=max_iterations, metric=metric,
-                    handle_outliers=handle_outliers,
-                    keep_history=keep_history,
-                    restarts=restarts, fit_sample_size=fit_sample_size,
-                    seed=seed, deadline=deadline, exclude_dims=exclude_dims,
-                    notes=notes, cache=cache, n_jobs=n_jobs,
-                    max_retries=max_retries,
-                    restart_timeout_s=restart_timeout_s,
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                    profile=profile, dtype=dtype,
-                )
+                result = _fit(X, config, deadline=deadline,
+                              exclude_dims=exclude_dims, notes=notes)
             except (ParameterError, DataError) as exc:
                 if not auto_degrade:
                     raise
@@ -506,7 +376,8 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                 )
                 degraded = True
                 tracer.event("kmedoids_fallback", reason=str(exc))
-                result = kmedoids_fallback(X, k, seed=seed, metric=metric)
+                result = kmedoids_fallback(X, config.k, seed=config.seed,
+                                           metric=config.metric)
 
         if report is not None and report.changed:
             result.labels = report.restore_labels(result.labels)
@@ -530,90 +401,30 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
 class Proclus:
     """Estimator-style wrapper with ``fit`` / ``fit_predict`` / ``predict``.
 
-    Parameters match :func:`proclus`.  After :meth:`fit`, the fitted
+    ``Proclus(k, l, **params)`` takes the keywords of :func:`proclus`
+    and forwards them to it on every :meth:`fit`; a name
+    :func:`proclus` does not take raises
+    :class:`~repro.exceptions.ParameterError` here, at construction.
+    After :meth:`fit`, the fitted
     :class:`~repro.core.result.ProclusResult` is available as
     :attr:`result_`, with convenience mirrors :attr:`labels_`,
     :attr:`medoids_`, and :attr:`dimensions_`.
     """
 
-    def __init__(self, k: int, l: float, *,
-                 sample_factor: int = 30, pool_factor: int = 5,
-                 min_deviation: float = 0.1, max_bad_tries: int = 20,
-                 max_iterations: int = 300,
-                 metric: Union[str, Metric] = "euclidean",
-                 handle_outliers: bool = True,
-                 keep_history: bool = True,
-                 restarts: int = 1,
-                 fit_sample_size: Optional[int] = None,
-                 on_bad_values: str = "raise",
-                 collapse_duplicates: bool = False,
-                 auto_degrade: bool = False,
-                 time_budget_s: Optional[float] = None,
-                 cache: bool = True,
-                 n_jobs: int = 1,
-                 max_retries: int = 2,
-                 restart_timeout_s: Optional[float] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: bool = False,
-                 profile: bool = False,
-                 dtype: str = "float64",
-                 seed: SeedLike = None) -> None:
+    def __init__(self, k: int, l: float, **params: Any) -> None:
+        try:
+            inspect.signature(proclus).bind(None, k, l, **params)
+        except TypeError as exc:
+            raise ParameterError(f"Proclus: {exc}") from None
         self.k = k
         self.l = l
-        self.sample_factor = sample_factor
-        self.pool_factor = pool_factor
-        self.min_deviation = min_deviation
-        self.max_bad_tries = max_bad_tries
-        self.max_iterations = max_iterations
-        self.metric = metric
-        self.handle_outliers = handle_outliers
-        self.keep_history = keep_history
-        self.restarts = restarts
-        self.fit_sample_size = fit_sample_size
-        self.on_bad_values = on_bad_values
-        self.collapse_duplicates = collapse_duplicates
-        self.auto_degrade = auto_degrade
-        self.time_budget_s = time_budget_s
-        self.cache = cache
-        self.n_jobs = n_jobs
-        self.max_retries = max_retries
-        self.restart_timeout_s = restart_timeout_s
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.profile = profile
-        self.dtype = dtype
-        self.seed = seed
+        self.params = params
         self.result_: Optional[ProclusResult] = None
 
     # ------------------------------------------------------------------
     def fit(self, X: Union[np.ndarray, Dataset]) -> "Proclus":
         """Cluster ``X`` (array or Dataset); returns ``self``."""
-        self.result_ = proclus(
-            X, self.k, self.l,
-            sample_factor=self.sample_factor,
-            pool_factor=self.pool_factor,
-            min_deviation=self.min_deviation,
-            max_bad_tries=self.max_bad_tries,
-            max_iterations=self.max_iterations,
-            metric=self.metric,
-            handle_outliers=self.handle_outliers,
-            keep_history=self.keep_history,
-            restarts=self.restarts,
-            fit_sample_size=self.fit_sample_size,
-            on_bad_values=self.on_bad_values,
-            collapse_duplicates=self.collapse_duplicates,
-            auto_degrade=self.auto_degrade,
-            time_budget_s=self.time_budget_s,
-            cache=self.cache,
-            n_jobs=self.n_jobs,
-            max_retries=self.max_retries,
-            restart_timeout_s=self.restart_timeout_s,
-            checkpoint_dir=self.checkpoint_dir,
-            resume=self.resume,
-            profile=self.profile,
-            dtype=self.dtype,
-            seed=self.seed,
-        )
+        self.result_ = proclus(X, self.k, self.l, **self.params)
         return self
 
     def fit_predict(self, X: Union[np.ndarray, Dataset]) -> np.ndarray:

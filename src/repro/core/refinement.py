@@ -105,7 +105,6 @@ def detect_outliers(columns: Columns, spheres: np.ndarray) -> np.ndarray:
 
 def refine_clusters(X: np.ndarray, labels: np.ndarray,
                     medoid_indices: np.ndarray, l: float, *,
-                    min_dims_per_cluster: int = 2,
                     fallback_dims: Optional[Sequence[Sequence[int]]] = None,
                     handle_outliers: bool = True,
                     exclude_dims: Optional[Sequence[int]] = None,
@@ -138,8 +137,7 @@ def refine_clusters(X: np.ndarray, labels: np.ndarray,
         [tuple(d) for d in fallback_dims] if fallback_dims is not None else None
     )
     dims = find_dimensions_from_clusters(
-        X, labels, medoid_indices, l,
-        min_per_cluster=min_dims_per_cluster, fallback=fallback,
+        X, labels, medoid_indices, l, fallback=fallback,
         exclude_dims=exclude_dims,
     )
     medoids = X[medoid_indices]

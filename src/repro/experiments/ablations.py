@@ -94,8 +94,7 @@ def run_initialization_ablation(*, n_points: int = 5000, n_seeds: int = 3,
     report = AblationReport(knob="initialization strategy")
 
     def pipeline(pool: np.ndarray, run_seed: int) -> Tuple[float, float]:
-        phase2 = run_iterative_phase(ds.points, pool, k, l, seed=run_seed,
-                                     keep_history=False)
+        phase2 = run_iterative_phase(ds.points, pool, k, l, seed=run_seed)
         ari = adjusted_rand_index(phase2.labels, ds.labels)
         return ari, phase2.objective
 
@@ -145,7 +144,7 @@ def run_min_deviation_ablation(*, n_points: int = 5000,
 
     def evaluate(v):
         result = proclus(ds.points, cfg.n_clusters, cfg.l,
-                         min_deviation=v, seed=seed + 1, keep_history=False)
+                         min_deviation=v, seed=seed + 1)
         return {
             "variant": f"{v:g}",
             "ari": adjusted_rand_index(result.labels, ds.labels),
@@ -176,7 +175,7 @@ def run_pool_size_ablation(*, n_points: int = 5000,
         a, b = cell
         result = proclus(ds.points, cfg.n_clusters, cfg.l,
                          sample_factor=a, pool_factor=b,
-                         seed=seed + 1, keep_history=False)
+                         seed=seed + 1)
         return {
             "variant": f"A={a},B={b}",
             "ari": adjusted_rand_index(result.labels, ds.labels),

@@ -104,8 +104,7 @@ def run_motivation(*, n_points: int = 2000, n_noise_dims: int = 5,
     report.scores["DBSCAN (full space)"] = adjusted_rand_index(
         db.labels, y, include_outliers=True)
 
-    pc = proclus(X, 2, 2, seed=seed, handle_outliers=False,
-                 keep_history=False)
+    pc = proclus(X, 2, 2, seed=seed, handle_outliers=False)
     report.proclus_dimensions = dict(pc.dimensions)
     report.scores["PROCLUS"] = adjusted_rand_index(
         pc.labels, y, include_outliers=True)

@@ -101,7 +101,7 @@ def _run_proclus_timed(points: np.ndarray, k: int, l: int, seed: int,
     best = np.inf
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        proclus(points, k, l, seed=seed, keep_history=False)
+        proclus(points, k, l, seed=seed)
         best = min(best, time.perf_counter() - t0)
     return best
 

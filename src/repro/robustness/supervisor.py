@@ -493,23 +493,24 @@ def _fault_tolerance_dict(*, max_retries: int,
 def _run_restart(X: np.ndarray, child: np.random.Generator,
                  deadline: Optional[Deadline], fit_kwargs: Dict[str, Any],
                  index: int) -> Tuple["ProclusResult", List[str], float]:
-    """One restart: ``_fit`` with ``restarts=1`` under a ``restart`` span.
+    """One restart: ``_fit`` on a one-restart record, in a ``restart`` span.
 
     Returns the child result, the notes it alone produced, and its wall
-    time.  ``fit_kwargs`` are the keyword arguments of
-    :func:`repro.core.proclus._fit` minus ``X``/``seed``/``deadline``/
-    ``notes``/``restarts``/``n_jobs`` (``k`` and ``l`` included).
+    time.  ``fit_kwargs`` is the run's
+    :meth:`~repro.core.config.ProclusConfig.restart_params` plus
+    ``exclude_dims``.
     """
+    from ..core.config import ProclusConfig
     from ..core.proclus import _fit
 
     params = dict(fit_kwargs)
-    k = params.pop("k")
-    l = params.pop("l")
+    exclude_dims = params.pop("exclude_dims")
     notes: List[str] = []
     t0 = monotonic_s()
     with get_tracer().span("restart", index=index):
-        result = _fit(X, k, l, restarts=1, seed=child, deadline=deadline,
-                      notes=notes, n_jobs=1, **params)
+        result = _fit(X, ProclusConfig(seed=child, **params),
+                      deadline=deadline, exclude_dims=exclude_dims,
+                      notes=notes)
     return result, notes, monotonic_s() - t0
 
 

@@ -9,6 +9,7 @@ of their public functions and then assume clean input internally.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +24,10 @@ __all__ = [
     "check_fraction",
     "check_k_l",
     "check_dimension_subset",
+    "check_flag",
     "check_max_retries",
     "check_n_jobs",
+    "check_real",
     "check_same_length",
     "check_time_budget",
 ]
@@ -104,17 +107,31 @@ def check_positive_int(value, *, name: str, minimum: int = 1,
     return value
 
 
+def check_real(value, *, name: str) -> float:
+    """Validate a real number (not a bool or a string) and return a float."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, numbers.Real)):
+        raise ParameterError(f"{name} must be a number; got {value!r}")
+    return float(value)
+
+
+def check_flag(value, *, name: str) -> bool:
+    """Validate a boolean switch: ``True`` or ``False`` (numpy bools too)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be True or False; got {value!r}")
+    return bool(value)
+
+
 def check_fraction(value, *, name: str, inclusive_low: bool = True,
                    inclusive_high: bool = True) -> float:
     """Validate a float in [0, 1] (bounds optionally exclusive)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a float in [0, 1]; got {value!r}")
+    value = check_real(value, name=name)
     low_ok = value >= 0.0 if inclusive_low else value > 0.0
     high_ok = value <= 1.0 if inclusive_high else value < 1.0
     if not (low_ok and high_ok):
-        raise ParameterError(f"{name} must lie in [0, 1]; got {value}")
+        interval = (("[" if inclusive_low else "(") + "0, 1"
+                    + ("]" if inclusive_high else ")"))
+        raise ParameterError(f"{name} must lie in {interval}; got {value}")
     return value
 
 
@@ -165,12 +182,7 @@ def check_time_budget(value, *, name: str = "time_budget_s"):
     """Validate an optional wall-clock budget: ``None`` or a float >= 0."""
     if value is None:
         return None
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(
-            f"{name} must be None or a non-negative number; got {value!r}"
-        )
+    value = check_real(value, name=name)
     if not np.isfinite(value) or value < 0:
         raise ParameterError(f"{name} must be >= 0 and finite; got {value}")
     return value

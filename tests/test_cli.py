@@ -133,6 +133,22 @@ class TestEndToEnd:
         assert rc == 2
         assert "n_jobs" in capsys.readouterr().err
 
+    def test_run_rejects_malformed_keyword_despite_sanitizing(self, tmp_path,
+                                                             capsys):
+        # `run` sanitizes (and so degrades) by default; a malformed
+        # keyword must still be a usage error, not a k-medoids fallback
+        out = tmp_path / "data.csv"
+        main(["generate", str(out), "--n-points", "300", "--n-dims", "6",
+              "--n-clusters", "3", "--cluster-dims", "3", "3", "3",
+              "--seed", "5"])
+        capsys.readouterr()
+        rc = main(["run", str(out), "-k", "3", "-l", "3", "--seed", "5",
+                   "--min-deviation", "1.5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "min_deviation" in captured.err
+        assert "fallback" not in captured.out
+
     def test_experiment_n_jobs_unsupported_is_typed_error(self, capsys):
         # theorem31 takes no n_jobs parameter -> ParameterError, exit 2
         rc = main(["experiment", "theorem31", "--n-points", "1000",

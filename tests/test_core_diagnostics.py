@@ -72,7 +72,6 @@ class TestSectionThreeClaims:
         localities should be at least as large as random medoids'."""
         ds = generate(3000, 20, 5, cluster_dim_counts=[7] * 5,
                       outlier_fraction=0.05, seed=70)
-        result = proclus(ds.points, 5, 7, seed=71, max_bad_tries=10,
-                         keep_history=False)
+        result = proclus(ds.points, 5, 7, seed=71, max_bad_tries=10)
         report = locality_report(ds.points, result.medoid_indices)
         assert report.meets_theorem_bound

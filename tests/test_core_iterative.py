@@ -144,12 +144,6 @@ class TestRunIterativePhase:
         with pytest.raises(ParameterError, match="pool has"):
             run_iterative_phase(dataset.points, np.array([1, 2]), k=3, l=4)
 
-    def test_keep_history_false(self, dataset):
-        pool = np.arange(0, 800, 40)
-        out = run_iterative_phase(dataset.points, pool, k=3, l=4,
-                                  keep_history=False, seed=5)
-        assert out.history == []
-
     def test_deterministic(self, dataset):
         pool = np.arange(0, 800, 40)
         a = run_iterative_phase(dataset.points, pool, k=3, l=4, seed=9)

@@ -15,7 +15,7 @@ def workload():
                     outlier_fraction=0.03, seed=55)
 
 
-FAST = dict(max_bad_tries=8, keep_history=False)
+FAST = dict(max_bad_tries=8)
 
 
 class TestSweepL:

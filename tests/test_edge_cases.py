@@ -26,7 +26,7 @@ class TestDegenerateData:
         Z-row zero; the algorithm must not crash or divide by zero."""
         X = np.full((100, 5), 42.0)
         result = proclus(X, 2, 2, seed=1, sample_factor=10, pool_factor=2,
-                         max_bad_tries=2, keep_history=False)
+                         max_bad_tries=2)
         assert result.labels.shape == (100,)
         assert np.isfinite(result.objective)
 
@@ -34,14 +34,13 @@ class TestDegenerateData:
         """Asking for 2 clusters in unimodal data still terminates."""
         rng = np.random.default_rng(0)
         X = rng.normal(50, 0.1, size=(200, 4))
-        result = proclus(X, 2, 2, seed=1, max_bad_tries=3,
-                         keep_history=False)
+        result = proclus(X, 2, 2, seed=1, max_bad_tries=3)
         assert set(np.unique(result.labels)) <= {-1, 0, 1}
 
     def test_two_points_two_clusters(self):
         X = np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]])
         result = proclus(X, 2, 2, seed=1, sample_factor=1, pool_factor=1,
-                         max_bad_tries=1, keep_history=False)
+                         max_bad_tries=1)
         assert len(set(result.labels.tolist()) - {-1}) >= 1
 
     def test_one_dimension_rejected(self):
@@ -57,15 +56,13 @@ class TestDegenerateData:
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 100, size=(300, 6))
         X[:, 3] = 7.0
-        result = proclus(X, 2, 3, seed=1, max_bad_tries=3,
-                         keep_history=False)
+        result = proclus(X, 2, 3, seed=1, max_bad_tries=3)
         assert sum(len(d) for d in result.dimensions.values()) == 6
 
     def test_extreme_coordinates(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(200, 4)) * 1e12
-        result = proclus(X, 2, 2, seed=2, max_bad_tries=3,
-                         keep_history=False)
+        result = proclus(X, 2, 2, seed=2, max_bad_tries=3)
         assert np.isfinite(result.objective)
 
 
@@ -73,8 +70,7 @@ class TestBoundaryParameters:
     def test_l_equals_d(self):
         """l = d means every cluster gets every dimension."""
         ds = generate(400, 4, 2, cluster_dim_counts=[2, 2], seed=3)
-        result = proclus(ds.points, 2, 4, seed=3, max_bad_tries=3,
-                         keep_history=False)
+        result = proclus(ds.points, 2, 4, seed=3, max_bad_tries=3)
         assert all(len(d) == 4 for d in result.dimensions.values())
 
     def test_k_equals_one_requires_two_medoids_for_locality(self):
@@ -88,15 +84,14 @@ class TestBoundaryParameters:
         ds = generate(300, 6, 2, cluster_dim_counts=[3, 3], seed=5)
         for md in (1e-9, 0.999):
             result = proclus(ds.points, 2, 3, seed=5, min_deviation=md,
-                             max_bad_tries=2, keep_history=False)
+                             max_bad_tries=2)
             assert result.labels.shape == (300,)
 
     def test_pool_exactly_k(self):
         """B*k == k: no replacement candidates — terminates immediately."""
         ds = generate(200, 5, 2, cluster_dim_counts=[2, 2], seed=6)
         result = proclus(ds.points, 2, 2, seed=6, sample_factor=1,
-                         pool_factor=1, max_bad_tries=50,
-                         keep_history=False)
+                         pool_factor=1, max_bad_tries=50)
         assert result.terminated_by in {"pool_exhausted", "no_improvement",
                                         "max_iterations"}
 
@@ -228,8 +223,7 @@ class TestRobustnessEdges:
         rng = np.random.default_rng(8)
         X = np.full((200, 6), 5.0)
         X[:, 2] = rng.uniform(0, 100, size=200)
-        result = proclus(X, 2, 2, seed=1, max_bad_tries=3,
-                         keep_history=False, auto_degrade=True)
+        result = proclus(X, 2, 2, seed=1, max_bad_tries=3, auto_degrade=True)
         assert result.labels.shape == (200,)
         assert np.isfinite(result.objective)
 
@@ -237,8 +231,7 @@ class TestRobustnessEdges:
         """predict() on points far beyond the training envelope must
         return valid cluster ids (no outlier logic, no overflow)."""
         ds = generate(400, 8, 2, cluster_dim_counts=[3, 3], seed=9)
-        est = Proclus(k=2, l=3, seed=9, max_bad_tries=3,
-                      keep_history=False).fit(ds.points)
+        est = Proclus(k=2, l=3, seed=9, max_bad_tries=3).fit(ds.points)
         far = np.array([[1e9] * 8, [-1e9] * 8, [1e12] * 8])
         labels = est.predict(far)
         assert labels.shape == (3,)

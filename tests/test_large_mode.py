@@ -17,10 +17,9 @@ def big():
 
 class TestFitSampleSize:
     def test_quality_preserved(self, big):
-        full = proclus(big.points, 3, 4, seed=71, max_bad_tries=15,
-                       keep_history=False)
+        full = proclus(big.points, 3, 4, seed=71, max_bad_tries=15)
         sampled = proclus(big.points, 3, 4, seed=71, max_bad_tries=15,
-                          fit_sample_size=2000, keep_history=False)
+                          fit_sample_size=2000)
         ari_full = adjusted_rand_index(full.labels, big.labels)
         ari_sampled = adjusted_rand_index(sampled.labels, big.labels)
         assert ari_sampled > ari_full - 0.15
@@ -28,13 +27,13 @@ class TestFitSampleSize:
 
     def test_every_point_labelled(self, big):
         result = proclus(big.points, 3, 4, seed=71, max_bad_tries=10,
-                         fit_sample_size=2000, keep_history=False)
+                         fit_sample_size=2000)
         assert result.labels.shape == (8000,)
         assert set(np.unique(result.labels)) <= {-1, 0, 1, 2}
 
     def test_medoids_are_original_points(self, big):
         result = proclus(big.points, 3, 4, seed=71, max_bad_tries=10,
-                         fit_sample_size=2000, keep_history=False)
+                         fit_sample_size=2000)
         assert np.array_equal(result.medoids,
                               big.points[result.medoid_indices])
 
@@ -46,7 +45,7 @@ class TestFitSampleSize:
         # benchmarks/test_bench_large_mode.py keeps the time claim.
         def kernel_rows(**kwargs):
             result = proclus(big.points, 3, 4, seed=71, max_bad_tries=15,
-                             keep_history=False, profile=True, **kwargs)
+                             profile=True, **kwargs)
             counters = result.profile["counters"]
             return (counters["kernel.distance_rows"]
                     + counters["kernel.segmental_rows"])
@@ -55,9 +54,8 @@ class TestFitSampleSize:
 
     def test_sample_larger_than_n_is_noop_path(self, big):
         a = proclus(big.points[:500], 3, 4, seed=1, max_bad_tries=5,
-                    fit_sample_size=10_000, keep_history=False)
-        b = proclus(big.points[:500], 3, 4, seed=1, max_bad_tries=5,
-                    keep_history=False)
+                    fit_sample_size=10_000)
+        b = proclus(big.points[:500], 3, 4, seed=1, max_bad_tries=5)
         assert np.array_equal(a.labels, b.labels)
 
     def test_too_small_sample_rejected(self, big):
@@ -66,5 +64,5 @@ class TestFitSampleSize:
 
     def test_dimension_budget_respected(self, big):
         result = proclus(big.points, 3, 4, seed=71, max_bad_tries=10,
-                         fit_sample_size=2000, keep_history=False)
+                         fit_sample_size=2000)
         assert sum(len(d) for d in result.dimensions.values()) == 12

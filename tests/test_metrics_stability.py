@@ -16,7 +16,7 @@ def easy():
 
 
 def proclus_fit(X, seed):
-    return proclus(X, 3, 4, seed=seed, max_bad_tries=10, keep_history=False)
+    return proclus(X, 3, 4, seed=seed, max_bad_tries=10)
 
 
 class TestStabilityReport:

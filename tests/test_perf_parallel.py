@@ -16,7 +16,7 @@ from repro.data import generate
 from repro.exceptions import ParameterError
 from repro.perf.parallel import SharedMatrix, parallel_map, resolve_n_jobs
 
-FAST = dict(max_bad_tries=4, keep_history=False)
+FAST = dict(max_bad_tries=4)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ class TestNotesIsolation:
         with pytest.warns(UserWarning, match="time budget exhausted"):
             result = proclus(workload.points, 3, 3, seed=5, restarts=40,
                              max_bad_tries=10**6, max_iterations=10**6,
-                             time_budget_s=0.05, keep_history=False)
+                             time_budget_s=0.05)
         budget_notes = [w for w in result.warnings
                         if "time budget exhausted" in w]
         assert len(budget_notes) == 1

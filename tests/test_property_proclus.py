@@ -31,7 +31,7 @@ def workloads(draw):
 def test_structural_contract(workload):
     X, k, l, seed = workload
     result = proclus(X, k, l, seed=seed, max_bad_tries=3, max_iterations=10,
-                     sample_factor=10, pool_factor=3, keep_history=False)
+                     sample_factor=10, pool_factor=3)
     n, d = X.shape
     # (k+1)-way partition
     assert result.labels.shape == (n,)
@@ -57,7 +57,7 @@ def test_structural_contract(workload):
 def test_seed_determinism(workload):
     X, k, l, seed = workload
     kwargs = dict(seed=seed, max_bad_tries=3, max_iterations=8,
-                  sample_factor=10, pool_factor=3, keep_history=False)
+                  sample_factor=10, pool_factor=3)
     a = proclus(X, k, l, **kwargs)
     b = proclus(X, k, l, **kwargs)
     assert np.array_equal(a.labels, b.labels)

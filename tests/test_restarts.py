@@ -14,7 +14,7 @@ def workload():
                     outlier_fraction=0.03, seed=61)
 
 
-FAST = dict(max_bad_tries=5, keep_history=False)
+FAST = dict(max_bad_tries=5)
 
 
 class TestRestarts:

@@ -31,7 +31,7 @@ def workload():
                     outlier_fraction=0.05, seed=17)
 
 
-FAST = dict(max_bad_tries=3, max_iterations=40, keep_history=False)
+FAST = dict(max_bad_tries=3, max_iterations=40)
 
 
 def _assert_well_formed(result, n_points, k):
@@ -98,7 +98,7 @@ def test_deadline_on_fig7_workload():
     result = proclus(
         ds.points, 5, 5, seed=7,
         max_bad_tries=10**6, max_iterations=10**6,
-        time_budget_s=budget, keep_history=False,
+        time_budget_s=budget,
     )
     elapsed = time.perf_counter() - t0
     assert result.terminated_by == "deadline"
@@ -113,7 +113,7 @@ def test_deadline_skips_remaining_restarts():
     result = proclus(
         ds.points, 3, 4, seed=11, restarts=50,
         max_bad_tries=10**6, max_iterations=10**6,
-        time_budget_s=0.05, keep_history=False,
+        time_budget_s=0.05,
     )
     assert result.terminated_by == "deadline"
     assert any("restarts" in w for w in result.warnings)
@@ -131,7 +131,7 @@ def test_deadline_mid_restart_fanout():
     result = proclus(
         ds.points, 3, 4, seed=11, restarts=50, n_jobs=2,
         max_bad_tries=10**6, max_iterations=10**6,
-        time_budget_s=0.05, keep_history=False,
+        time_budget_s=0.05,
     )
     assert result.terminated_by == "deadline"
     assert result.labels.shape == (800,)

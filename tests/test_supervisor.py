@@ -39,7 +39,7 @@ from repro.robustness.supervisor import (
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.exceptions.SanitizationWarning")
 
-FAST = dict(max_bad_tries=3, max_iterations=40, keep_history=False)
+FAST = dict(max_bad_tries=3, max_iterations=40)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +327,46 @@ class TestValidation:
         assert spec.fires(2, 0) and spec.fires(2, 1)
         assert not spec.fires(2, 2)
         assert not spec.fires(1, 0)
+
+
+class TestFingerprintCoverage:
+    """What a checkpoint's run fingerprint covers, checked through proclus().
+
+    Algorithm keywords change what a restart computes, so a changed one
+    refuses the resume.  Execution settings only change how restarts
+    are run, so a run may resume under other ones.
+    """
+
+    def _checkpointed(self, ck, workload):
+        return proclus(workload.points, 3, 3, restarts=3, seed=13,
+                       checkpoint_dir=str(ck), **FAST)
+
+    @pytest.mark.parametrize("changed", [dict(max_bad_tries=4),
+                                         dict(min_deviation=0.2)])
+    def test_changed_algorithm_keyword_is_refused(self, tmp_path, workload,
+                                                  changed):
+        ck = tmp_path / "ck"
+        self._checkpointed(ck, workload)
+        with pytest.raises(CheckpointError):
+            proclus(workload.points, 3, 3, restarts=3, seed=13,
+                    checkpoint_dir=str(ck), resume=True,
+                    **dict(FAST, **changed))
+
+    @pytest.mark.parametrize("changed", [dict(n_jobs=2), dict(max_retries=0),
+                                         dict(restart_timeout_s=60.0)])
+    def test_changed_execution_setting_resumes_bit_identically(
+            self, tmp_path, workload, changed):
+        ck = tmp_path / "ck"
+        uninterrupted = self._checkpointed(ck, workload)
+        # a torn payload makes the resumed run recompute that restart
+        (ck / "restart_00001.npz").write_bytes(b"\x00garbage")
+        resumed = proclus(workload.points, 3, 3, restarts=3, seed=13,
+                          checkpoint_dir=str(ck), resume=True,
+                          **FAST, **changed)
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+        assert resumed.objective_history == uninterrupted.objective_history
+        assert resumed.fault_tolerance["checkpoint_discarded"] == 1
+        assert resumed.fault_tolerance["resumed_from"] == 2
 
 
 # ----------------------------------------------------------------------

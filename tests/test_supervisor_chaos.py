@@ -33,7 +33,7 @@ pytestmark = [
         "ignore::repro.exceptions.SanitizationWarning"),
 ]
 
-FAST = dict(max_bad_tries=3, max_iterations=40, keep_history=False)
+FAST = dict(max_bad_tries=3, max_iterations=40)
 RESTARTS = 4
 
 
