@@ -1,7 +1,7 @@
 """RPR004 — public API surface: complete annotations, typed errors.
 
-Applies to the package root ``__init__.py``, ``cli.py``, and every
-module under ``core/``.  Two guarantees:
+Applies to the package root ``__init__.py``, ``cli.py``, ``rng.py``,
+and every module under ``core/`` and ``serve/``.  Two guarantees:
 
 * **Complete type annotations** on public functions and public methods
   of public classes — the contract the ``mypy --strict`` gate then
@@ -42,7 +42,7 @@ _BUILTIN_EXCEPTIONS = frozenset({
 
 def _in_scope(ctx: FileContext) -> bool:
     if (ctx.in_dirs("core") or ctx.in_dirs("serve")
-            or ctx.basename == "cli.py"):
+            or ctx.basename in ("cli.py", "rng.py")):
         return True
     # the package root __init__ (repro/__init__.py), not every package's
     return (ctx.basename == "__init__.py"

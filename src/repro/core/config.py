@@ -14,7 +14,6 @@ the fit; checks that depend on the data run later, in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Union
 
@@ -30,8 +29,10 @@ from ..validation import (
     check_k_l,
     check_max_retries,
     check_n_jobs,
+    check_path,
     check_positive_int,
     check_real,
+    check_seed,
     check_time_budget,
 )
 
@@ -220,17 +221,11 @@ class ProclusConfig:
         self.n_jobs = check_n_jobs(self.n_jobs)
         self.max_retries = check_max_retries(self.max_retries)
         if self.checkpoint_dir is not None:
-            if not isinstance(self.checkpoint_dir, (str, os.PathLike)):
-                raise ParameterError(
-                    "checkpoint_dir must be None or a path; got "
-                    f"{self.checkpoint_dir!r}"
-                )
+            check_path(self.checkpoint_dir, name="checkpoint_dir")
             self.checkpoint_dir = str(self.checkpoint_dir)
         if self.resume and self.checkpoint_dir is None:
             raise ParameterError("resume=True requires checkpoint_dir to be set")
-        if not (self.seed is None
-                or isinstance(self.seed, np.random.Generator)):
-            self.seed = check_positive_int(self.seed, name="seed", minimum=0)
+        self.seed = check_seed(self.seed)
         return self
 
     def validated(self, n_points: int, n_dims: int) -> "ProclusConfig":

@@ -5,7 +5,10 @@ then has to answer "which projected cluster does this fresh record
 belong to?" continuously, without refitting.  This module is that
 inference core, shared by
 :meth:`repro.core.result.ProclusResult.predict` and the hardened query
-server in :mod:`repro.serve`.
+server in :mod:`repro.serve`.  A :class:`FittedModel` holds what
+predict derives from a fit (checked medoids, dimension sets, spheres
+and the kernel's segment layout); :func:`predict_points` builds one per
+call, the server one per model load.
 
 Semantics mirror the refinement phase (paper section 2.3) exactly:
 
@@ -24,7 +27,7 @@ Because the distance kernel, the spheres, and the nearest-medoid scan
 serial/parallel fits (test-enforced).  Queries compute natively in the
 fitted working dtype.
 
-**One pass per row block.**  :func:`predict_points` walks the batch in
+**One pass per row block.**  :meth:`FittedModel.predict` walks the batch in
 equal row blocks sized by the segmental kernel's own rule
 (:func:`~repro.robustness.guards.row_block_size`), so every
 ``segmental_columns`` call runs exactly one kernel block.  Each block
@@ -56,8 +59,8 @@ import numpy as np
 from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import DegenerateDataError, ParameterError
 from ..obs import get_tracer
-from ..perf.kernels import (nearest_medoid, segmental_columns,
-                            segmental_layout)
+from ..perf.kernels import (SegmentalLayout, nearest_medoid,
+                            segmental_columns, segmental_layout)
 from ..robustness.guards import Deadline, row_block_size
 from ..validation import check_array, check_positive_int
 from .refinement import detect_outliers, spheres_of_influence
@@ -65,8 +68,8 @@ from .refinement import detect_outliers, spheres_of_influence
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..robustness.sanitize import SanitizationReport
 
-__all__ = ["PredictReport", "predict_points", "normalize_dimension_sets",
-           "DEFAULT_PREDICT_CHUNK"]
+__all__ = ["FittedModel", "PredictReport", "predict_points",
+           "normalize_dimension_sets", "DEFAULT_PREDICT_CHUNK"]
 
 #: Most rows in one block of the predict loop.  The block is the
 #: segmental kernel's own (about 1 MiB of queries), capped by this or
@@ -208,177 +211,218 @@ def _coerce_queries(X: Any, d: int, dtype: np.dtype,
     return np.ascontiguousarray(arr)
 
 
-def predict_points(
-    X: Any,
-    medoids: np.ndarray,
-    dimensions: DimensionSets,
-    *,
-    handle_outliers: bool = True,
-    spheres: Optional[np.ndarray] = None,
-    on_bad_values: str = "raise",
-    max_points: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-    deadline: Optional[Deadline] = None,
-    return_distances: bool = False,
-) -> PredictReport:
-    """Assign a batch of new points to a fitted projected clustering.
+@dataclass(frozen=True)
+class FittedModel:
+    """A fitted clustering, prepared for predict.
 
-    Parameters
+    Everything the predict loop derives from ``(medoids, dimensions)``,
+    derived once by :meth:`build`: the checked medoids, one sorted
+    dimension set per medoid, the spheres of influence and the
+    segmental kernel's :class:`~repro.perf.kernels.SegmentalLayout`.
+    :func:`predict_points` builds one per call; the query server builds
+    one per model load and runs every request on it.
+
+    Attributes
     ----------
-    X:
-        Query batch ``(n, d)`` (a single ``(d,)`` point is accepted and
-        treated as one row).
-    medoids, dimensions:
-        The fitted model: medoid coordinates ``(k, d)`` in the fitted
-        working dtype, and per-cluster dimension sets (the
-        :attr:`ProclusResult.dimensions` mapping or a sequence).
-    handle_outliers:
-        Apply the refinement phase's sphere-of-influence rule and label
-        rejected points ``-1``.  Disable for fits that ran with
-        ``handle_outliers=False``, whose training labels were produced
-        without the rule.
+    medoids:
+        ``(k, d)`` medoid coordinates in the fitted working dtype.
+    dim_sets:
+        One sorted dimension tuple per medoid.
     spheres:
-        Precomputed spheres of influence (one per medoid).  ``None``
-        recomputes them from the model — a server computes them once at
-        model-load time and passes them in on every request.  NaN or
-        negative spheres raise :class:`~repro.exceptions.ParameterError`;
-        ``inf`` (a lone medoid's sphere) is accepted.
-    on_bad_values:
-        NaN/inf policy for the *queries*: ``"raise"`` (default) rejects
-        the batch with :class:`~repro.exceptions.ParameterError`;
-        ``"drop"`` labels affected rows ``-1``; ``"impute_median"`` /
-        ``"clip"`` repair cells from the batch's own column statistics.
-    max_points:
-        Reject batches larger than this (request-size admission for the
-        serving layer).
-    chunk_size:
-        Most rows per block (default :data:`DEFAULT_PREDICT_CHUNK`); the
-        kernel's own block size applies when it is smaller.  Never
-        changes the output bits; bounds memory and sets the deadline
-        polling granularity.
-    memory_budget_bytes:
-        Forwarded to the segmental kernel's internal row-chunking guard.
-    deadline:
-        Optional wall-clock budget.  Expiry *between* blocks discards
-        the partial batch and raises
-        :class:`~repro.exceptions.BudgetExceededError` — the caller
-        gets all assignments or none.
-    return_distances:
-        Also keep the full ``(n_clean, k)`` distance matrix on the
-        report.
-
-    Returns
-    -------
-    PredictReport
-        Labels in the caller's row order plus diagnostics.
+        The per-medoid spheres of influence (``inf`` for ``k == 1``: a
+        lone medoid rejects nothing).
+    layout:
+        The medoids' segment layout, shared by every block's kernel call.
     """
-    medoid_arr = check_array(medoids, name="medoids")
-    k, d = int(medoid_arr.shape[0]), int(medoid_arr.shape[1])
-    dim_sets = normalize_dimension_sets(dimensions, k, d)
 
-    if spheres is None:
-        sphere_arr = spheres_of_influence(medoid_arr, dim_sets)
-    else:
-        sphere_arr = np.asarray(spheres, dtype=medoid_arr.dtype)
-        if sphere_arr.shape != (k,):
-            raise ParameterError(
-                f"spheres must have shape ({k},); got {sphere_arr.shape}")
-        # a NaN sphere would silently switch the outlier rule off (NaN
-        # fails >= too); inf is a lone medoid's sphere and stays legal
-        if not bool((sphere_arr >= 0).all()):
-            raise ParameterError(
-                f"spheres must be non-negative and not NaN; got "
-                f"{sphere_arr.tolist()}")
+    medoids: np.ndarray
+    dim_sets: Tuple[Tuple[int, ...], ...]
+    spheres: np.ndarray
+    layout: SegmentalLayout
 
-    queries = _coerce_queries(X, d, medoid_arr.dtype, max_points)
-    n_original = int(queries.shape[0])
-    report: Optional["SanitizationReport"] = None
-    # "raise" checks finiteness block by block in the loop below
-    check_finite = on_bad_values == "raise"
-    if not check_finite:
-        from ..robustness.sanitize import sanitize
+    @classmethod
+    def build(cls, medoids: np.ndarray,
+              dimensions: DimensionSets) -> "FittedModel":
+        """Check ``medoids`` and ``dimensions`` and derive the rest.
 
-        try:
-            queries, report = sanitize(
-                queries, on_bad_values=on_bad_values,
-                collapse_duplicates=False, detect_constant_dims=False,
-                warn=False, dtype=medoid_arr.dtype)
-        except DegenerateDataError:
-            # every row was dropped by the policy: nothing to assign —
-            # the whole batch is outliers by construction, not an error
-            return PredictReport(
-                labels=np.full(n_original, OUTLIER_LABEL, dtype=np.int64),
-                n_points=n_original,
-                n_outliers=n_original,
-                spheres=sphere_arr,
-                warnings=["every query row was dropped by the bad-value "
-                          "policy; the whole batch is labelled -1"],
-            )
+        Non-finite or malformed medoids raise
+        :class:`~repro.exceptions.DataError`; bad dimension sets raise
+        :class:`~repro.exceptions.ParameterError` (see
+        :func:`normalize_dimension_sets`).  The medoids are finite, so
+        no sphere is NaN.
+        """
+        medoid_arr = check_array(medoids, name="medoids")
+        k, d = medoid_arr.shape
+        dim_sets = tuple(normalize_dimension_sets(dimensions, k, d))
+        return cls(medoid_arr, dim_sets,
+                   spheres_of_influence(medoid_arr, dim_sets),
+                   segmental_layout(medoid_arr, dim_sets))
 
-    n = int(queries.shape[0])
-    cap = (DEFAULT_PREDICT_CHUNK if chunk_size is None
-           else check_positive_int(chunk_size, name="chunk_size", minimum=1))
-    # the kernel's own block rule, capped: each segmental_columns call
-    # below runs exactly one kernel block
-    step = row_block_size(n, d, sum(len(dims) for dims in dim_sets),
-                          queries.dtype.itemsize,
-                          memory_budget_bytes=memory_budget_bytes, cap=cap)
-    # the medoids' segment layout, built once for every block
-    layout = segmental_layout(medoid_arr, dim_sets)
-    tracer = get_tracer()
-    # column-major, like the kernel's own output: each medoid's column
-    # is contiguous for the nearest-medoid scan and the outlier test.
-    # Only return_distances keeps every block's columns; otherwise one
-    # block's worth is reused.
-    dist = np.empty((k, n if return_distances else step),
-                    dtype=queries.dtype).T
-    clean_labels = np.empty(n, dtype=np.int64)
-    with tracer.span("predict", n_points=n, k=k) as span:
-        for start in range(0, n, step):
+    def predict(
+        self,
+        X: Any,
+        *,
+        handle_outliers: bool = True,
+        on_bad_values: str = "raise",
+        max_points: Optional[int] = None,
+        chunk_size: Optional[int] = None,
+        memory_budget_bytes: Optional[int] = None,
+        deadline: Optional[Deadline] = None,
+        return_distances: bool = False,
+    ) -> PredictReport:
+        """Assign a batch of new points to this model.
+
+        Parameters
+        ----------
+        X:
+            Query batch ``(n, d)`` (a single ``(d,)`` point is accepted
+            and treated as one row).
+        handle_outliers:
+            Apply the refinement phase's sphere-of-influence rule and
+            label rejected points ``-1``.  Disable for fits that ran
+            with ``handle_outliers=False``, whose training labels were
+            produced without the rule.
+        on_bad_values:
+            NaN/inf policy for the *queries*: ``"raise"`` (default)
+            rejects the batch with
+            :class:`~repro.exceptions.ParameterError`; ``"drop"`` labels
+            affected rows ``-1``; ``"impute_median"`` / ``"clip"``
+            repair cells from the batch's own column statistics.
+        max_points:
+            Reject batches larger than this (request-size admission for
+            the serving layer).
+        chunk_size:
+            Most rows per block (default :data:`DEFAULT_PREDICT_CHUNK`);
+            the kernel's own block size applies when it is smaller.
+            Never changes the output bits; bounds memory and sets the
+            deadline polling granularity.
+        memory_budget_bytes:
+            Forwarded to the segmental kernel's internal row-chunking
+            guard.
+        deadline:
+            Optional wall-clock budget.  Expiry *between* blocks
+            discards the partial batch and raises
+            :class:`~repro.exceptions.BudgetExceededError` — the caller
+            gets all assignments or none.
+        return_distances:
+            Also keep the full ``(n_clean, k)`` distance matrix on the
+            report.
+
+        Returns
+        -------
+        PredictReport
+            Labels in the caller's row order plus diagnostics.
+        """
+        k, d = self.medoids.shape
+        queries = _coerce_queries(X, d, self.medoids.dtype, max_points)
+        n_original = int(queries.shape[0])
+        report: Optional["SanitizationReport"] = None
+        # "raise" checks finiteness block by block in the loop below
+        check_finite = on_bad_values == "raise"
+        if not check_finite:
+            from ..robustness.sanitize import sanitize
+
+            try:
+                queries, report = sanitize(
+                    queries, on_bad_values=on_bad_values,
+                    collapse_duplicates=False, detect_constant_dims=False,
+                    warn=False, dtype=self.medoids.dtype)
+            except DegenerateDataError:
+                # every row was dropped by the policy: nothing to assign
+                # — the whole batch is outliers by construction, not an
+                # error
+                return PredictReport(
+                    labels=np.full(n_original, OUTLIER_LABEL,
+                                   dtype=np.int64),
+                    n_points=n_original,
+                    n_outliers=n_original,
+                    spheres=self.spheres,
+                    warnings=["every query row was dropped by the "
+                              "bad-value policy; the whole batch is "
+                              "labelled -1"],
+                )
+
+        n = int(queries.shape[0])
+        cap = (DEFAULT_PREDICT_CHUNK if chunk_size is None
+               else check_positive_int(chunk_size, name="chunk_size",
+                                       minimum=1))
+        # the kernel's own block rule, capped: each segmental_columns
+        # call below runs exactly one kernel block
+        step = row_block_size(n, d, sum(self.layout.sizes),
+                              queries.dtype.itemsize,
+                              memory_budget_bytes=memory_budget_bytes,
+                              cap=cap)
+        tracer = get_tracer()
+        # column-major, like the kernel's own output: each medoid's
+        # column is contiguous for the nearest-medoid scan and the
+        # outlier test.  Only return_distances keeps every block's
+        # columns; otherwise one block's worth is reused.
+        dist = np.empty((k, n if return_distances else step),
+                        dtype=queries.dtype).T
+        clean_labels = np.empty(n, dtype=np.int64)
+        with tracer.span("predict", n_points=n, k=k) as span:
+            for start in range(0, n, step):
+                if deadline is not None:
+                    deadline.check("predict")
+                block = queries[start:start + step]
+                rows = block.shape[0]
+                if check_finite and not bool(np.isfinite(block).all()):
+                    raise ParameterError(
+                        "query batch contains NaN or infinite values; "
+                        "pass on_bad_values='drop', 'impute_median', or "
+                        "'clip' to sanitize"
+                    )
+                at = start if return_distances else 0
+                block_dist = segmental_columns(
+                    block, self.medoids, self.dim_sets,
+                    memory_budget_bytes=memory_budget_bytes,
+                    out=dist[at:at + rows], layout=self.layout,
+                )
+                # the block's k columns are still in cache for both scans
+                block_labels = nearest_medoid(block_dist.T)
+                if handle_outliers:
+                    block_labels[detect_outliers(block_dist.T,
+                                                 self.spheres)] = (
+                        OUTLIER_LABEL)
+                clean_labels[start:start + rows] = block_labels
             if deadline is not None:
                 deadline.check("predict")
-            block = queries[start:start + step]
-            rows = block.shape[0]
-            if check_finite and not bool(np.isfinite(block).all()):
-                raise ParameterError(
-                    "query batch contains NaN or infinite values; pass "
-                    "on_bad_values='drop', 'impute_median', or 'clip' to "
-                    "sanitize"
-                )
-            at = start if return_distances else 0
-            block_dist = segmental_columns(
-                block, medoid_arr, dim_sets,
-                memory_budget_bytes=memory_budget_bytes,
-                out=dist[at:at + rows], layout=layout,
-            )
-            # the block's k columns are still in cache for both scans
-            block_labels = nearest_medoid(block_dist.T)
-            if handle_outliers:
-                block_labels[detect_outliers(block_dist.T, sphere_arr)] = (
-                    OUTLIER_LABEL)
-            clean_labels[start:start + rows] = block_labels
-        if deadline is not None:
-            deadline.check("predict")
-        span.set(n_outliers=int(np.count_nonzero(
-            clean_labels == OUTLIER_LABEL)))
+            span.set(n_outliers=int(np.count_nonzero(
+                clean_labels == OUTLIER_LABEL)))
 
-    warnings: List[str] = []
-    if report is not None and report.changed:
-        labels = report.restore_labels(clean_labels, fill=OUTLIER_LABEL)
-        warnings.extend(report.messages)
-    else:
-        labels = clean_labels
-    n_outliers = int(np.count_nonzero(labels == OUTLIER_LABEL))
-    if tracer.enabled:
-        tracer.count("predict.points", n_original)
-        tracer.count("predict.outliers", n_outliers)
-    return PredictReport(
-        labels=labels,
-        n_points=n_original,
-        n_outliers=n_outliers,
-        spheres=sphere_arr,
-        sanitization=report,
-        distances=dist if return_distances else None,
-        warnings=warnings,
-    )
+        warnings: List[str] = []
+        if report is not None and report.changed:
+            labels = report.restore_labels(clean_labels, fill=OUTLIER_LABEL)
+            warnings.extend(report.messages)
+        else:
+            labels = clean_labels
+        n_outliers = int(np.count_nonzero(labels == OUTLIER_LABEL))
+        if tracer.enabled:
+            tracer.count("predict.points", n_original)
+            tracer.count("predict.outliers", n_outliers)
+        return PredictReport(
+            labels=labels,
+            n_points=n_original,
+            n_outliers=n_outliers,
+            spheres=self.spheres,
+            sanitization=report,
+            distances=dist if return_distances else None,
+            warnings=warnings,
+        )
+
+
+def predict_points(X: Any, medoids: np.ndarray, dimensions: DimensionSets,
+                   **options: Any) -> PredictReport:
+    """Assign a batch of new points to a fitted projected clustering.
+
+    Builds a :class:`FittedModel` from ``medoids`` (``(k, d)``, in the
+    fitted working dtype) and ``dimensions`` (the
+    :attr:`ProclusResult.dimensions` mapping or a sequence of
+    per-cluster dimension sets), then runs :meth:`FittedModel.predict`
+    on ``X`` with the keyword ``options`` (``handle_outliers``,
+    ``on_bad_values``, ``max_points``, ``chunk_size``,
+    ``memory_budget_bytes``, ``deadline``, ``return_distances``; see
+    there).  A caller predicting many batches on one model builds the
+    model once and calls its ``predict`` instead.
+    """
+    return FittedModel.build(medoids, dimensions).predict(X, **options)

@@ -188,7 +188,6 @@ class ProclusResult:
             deadline=deadline).labels
 
     def predict_report(self, X: Any, *, handle_outliers: bool = True,
-                       spheres: Optional[np.ndarray] = None,
                        on_bad_values: str = "raise",
                        max_points: Optional[int] = None,
                        chunk_size: Optional[int] = None,
@@ -205,10 +204,10 @@ class ProclusResult:
 
         return predict_points(
             X, self.medoids, self.dimensions,
-            handle_outliers=handle_outliers, spheres=spheres,
-            on_bad_values=on_bad_values, max_points=max_points,
-            chunk_size=chunk_size, memory_budget_bytes=memory_budget_bytes,
-            deadline=deadline, return_distances=return_distances)
+            handle_outliers=handle_outliers, on_bad_values=on_bad_values,
+            max_points=max_points, chunk_size=chunk_size,
+            memory_budget_bytes=memory_budget_bytes, deadline=deadline,
+            return_distances=return_distances)
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (labels omitted; sizes included)."""

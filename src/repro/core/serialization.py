@@ -34,6 +34,7 @@ import numpy as np
 
 from ..exceptions import CheckpointError, DataError
 from ..robustness.atomicio import atomic_write
+from ..validation import check_path
 from .result import ProclusResult
 
 __all__ = ["save_result", "load_result", "load_result_with_fingerprint",
@@ -62,7 +63,7 @@ def _content_fingerprint(labels: np.ndarray, medoids: np.ndarray,
 
 def _resolve_npz_path(path: PathLike) -> Path:
     """The on-disk path ``np.savez`` semantics would produce."""
-    path = Path(path)
+    path = check_path(path)
     return path if path.suffix == ".npz" else path.with_suffix(
         path.suffix + ".npz")
 
@@ -138,7 +139,7 @@ def load_result_with_fingerprint(
     (and verified) sha256; for legacy version-1 files it is computed
     from the loaded content.
     """
-    path = Path(path)
+    path = check_path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
             try:
@@ -205,7 +206,7 @@ def result_fingerprint(path: PathLike) -> str:
     legacy version-1 files the digest is computed on the fly so callers
     (the query server's model registry) always get a stable identity.
     """
-    path = Path(path)
+    path = check_path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
             if "fingerprint" in data:

@@ -15,6 +15,8 @@ from typing import Union
 
 import numpy as np
 
+from .validation import check_positive_int, check_seed
+
 __all__ = ["ensure_rng", "spawn", "SeedLike"]
 
 SeedLike = Union[None, int, np.random.Generator]
@@ -23,20 +25,19 @@ SeedLike = Union[None, int, np.random.Generator]
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for any accepted seed form.
 
-    ``None`` gives fresh OS entropy; an ``int`` gives a reproducible
-    generator; an existing generator is passed through unchanged (shared,
-    not copied — callers who need isolation should use :func:`spawn`).
+    ``None`` gives fresh OS entropy; an ``int >= 0`` gives a
+    reproducible generator; an existing generator is passed through
+    unchanged (shared, not copied — callers who need isolation should
+    use :func:`spawn`).  Any other value (a bool, a negative int, a
+    string, ...) raises :class:`~repro.exceptions.ParameterError`.
     """
+    seed = check_seed(seed)
     if seed is None:
         # the one sanctioned fresh-entropy point in the library
         return np.random.default_rng()  # repr: noqa RPR001
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed))
-    raise TypeError(
-        f"seed must be None, an int, or a numpy Generator; got {type(seed).__name__}"
-    )
+    return np.random.default_rng(seed)
 
 
 def spawn(rng: np.random.Generator, n: int) -> list:
@@ -45,8 +46,7 @@ def spawn(rng: np.random.Generator, n: int) -> list:
     Uses the generator's underlying ``SeedSequence`` machinery when
     available, falling back to integer reseeding otherwise.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0; got {n}")
+    n = check_positive_int(n, name="n", minimum=0)
     seed_seq = getattr(rng.bit_generator, "seed_seq", None)
     if seed_seq is not None:
         return [np.random.default_rng(s) for s in seed_seq.spawn(n)]

@@ -3,7 +3,7 @@
 A small threaded HTTP daemon that loads a fingerprint-validated saved
 :class:`~repro.core.result.ProclusResult` and answers point-assignment
 queries with the refinement-phase semantics of
-:func:`repro.core.predict.predict_points`.  It exists to make the
+:meth:`repro.core.predict.FittedModel.predict`.  It exists to make the
 *robustness* contracts of this repo hold under network conditions:
 
 * **Deadlines** — every request carries a wall-clock budget (default
@@ -47,11 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union, cast
 
-import numpy as np
-
-from ..core.predict import normalize_dimension_sets, predict_points
-from ..core.refinement import spheres_of_influence
-from ..core.result import ProclusResult
+from ..core.predict import FittedModel
 from ..core.serialization import load_result_with_fingerprint
 from ..exceptions import (BudgetExceededError, CheckpointError, DataError,
                           ParameterError, ReproError, ServeError)
@@ -99,7 +95,7 @@ class ServerConfig:
         per call with any policy in
         :data:`repro.robustness.sanitize.BAD_VALUE_POLICIES`).
     chunk_size / memory_budget_bytes:
-        Forwarded to :func:`repro.core.predict.predict_points`.
+        Forwarded to :meth:`repro.core.predict.FittedModel.predict`.
     """
 
     host: str = "127.0.0.1"
@@ -147,32 +143,26 @@ class ServerConfig:
 class LoadedModel:
     """An immutable, predict-ready view of one saved fit.
 
-    Everything derived from the result (normalized dimension sets, the
-    spheres of influence) is computed once here, at load time, so the
-    per-request path touches only ready-made arrays.  The whole object
-    is swapped atomically on reload — in-flight requests keep the
-    instance they started with.
+    The :class:`~repro.core.predict.FittedModel` (checked medoids,
+    dimension sets, spheres of influence, segment layout) is built once
+    here, at load time, so a request only runs the predict loop.  The
+    whole object is swapped atomically on reload — in-flight requests
+    keep the instance they started with.
     """
 
-    result: ProclusResult
+    fitted: FittedModel
     path: str
     fingerprint: str
-    dim_sets: Tuple[Tuple[int, ...], ...]
-    spheres: np.ndarray
-
-    @property
-    def d(self) -> int:
-        """Fitted data dimensionality."""
-        return int(self.result.medoids.shape[1])
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly identity for ``/stats`` and reload responses."""
+        k, d = self.fitted.medoids.shape
         return {
             "path": self.path,
             "fingerprint": self.fingerprint,
-            "k": self.result.k,
-            "d": self.d,
-            "dtype": str(self.result.medoids.dtype.name),
+            "k": k,
+            "d": d,
+            "dtype": self.fitted.medoids.dtype.name,
         }
 
 
@@ -195,12 +185,9 @@ class ModelStore:
         # reads could straddle a concurrent atomic replace and pair the
         # old model with the new file's identity
         result, fingerprint = load_result_with_fingerprint(path)
-        dim_sets = tuple(normalize_dimension_sets(
-            result.dimensions, result.k, int(result.medoids.shape[1])))
-        spheres = spheres_of_influence(result.medoids, dim_sets)
-        model = LoadedModel(result=result, path=str(path),
-                            fingerprint=fingerprint, dim_sets=dim_sets,
-                            spheres=spheres)
+        model = LoadedModel(
+            FittedModel.build(result.medoids, result.dimensions),
+            str(path), fingerprint)
         with self._lock:
             self._model = model
             self._reloads += 1
@@ -511,9 +498,8 @@ class ProclusServer:
                 try:
                     apply_serve_fault(self._fault, ordinal)
                     deadline.check("predict request")
-                    report = predict_points(
-                        obj["points"], model.result.medoids, model.dim_sets,
-                        spheres=model.spheres, on_bad_values=on_bad,
+                    report = model.fitted.predict(
+                        obj["points"], on_bad_values=on_bad,
                         max_points=cfg.max_points, chunk_size=cfg.chunk_size,
                         memory_budget_bytes=cfg.memory_budget_bytes,
                         deadline=deadline)

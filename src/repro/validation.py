@@ -10,7 +10,9 @@ of their public functions and then assume clean input internally.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Optional, Sequence
+import os
+from pathlib import Path
+from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,8 +29,10 @@ __all__ = [
     "check_flag",
     "check_max_retries",
     "check_n_jobs",
+    "check_path",
     "check_real",
     "check_same_length",
+    "check_seed",
     "check_time_budget",
 ]
 
@@ -69,9 +73,13 @@ def check_array(X, *, name: str = "X", min_rows: int = 1, min_cols: int = 1,
     Raises
     ------
     DataError
-        If the array is empty, has the wrong rank, or contains NaN/inf.
+        If ``X`` is not numeric, or the array is empty, has the wrong
+        rank, or contains NaN/inf.
     """
-    arr = as_working(X) if dtype is None else np.asarray(X, dtype=dtype)
+    try:
+        arr = as_working(X) if dtype is None else np.asarray(X, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} is not numeric array data: {exc}")
     if arr.ndim == 1:
         if not allow_1d:
             raise DataError(
@@ -105,6 +113,24 @@ def check_positive_int(value, *, name: str, minimum: int = 1,
     if maximum is not None and value > maximum:
         raise ParameterError(f"{name} must be <= {maximum}; got {value}")
     return value
+
+
+def check_seed(value: Any) -> Union[None, int, np.random.Generator]:
+    """Validate a seed: ``None``, a numpy ``Generator`` or an int ``>= 0``.
+
+    Bools are rejected.  Returns ``None`` and generators unchanged and
+    an integer as ``int``.
+    """
+    if value is None or isinstance(value, np.random.Generator):
+        return value
+    return check_positive_int(value, name="seed", minimum=0)
+
+
+def check_path(value: Any, *, name: str = "path") -> Path:
+    """Validate a filesystem path (``str`` or ``os.PathLike``)."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ParameterError(f"{name} must be a path; got {value!r}")
+    return Path(value)
 
 
 def check_real(value, *, name: str) -> float:

@@ -92,6 +92,15 @@ def test_rpr004_flags_annotations_and_builtin_raise():
     assert "_private_helper" not in messages
 
 
+def test_rpr004_covers_rng():
+    # every seed in the library passes through rng.ensure_rng
+    src = "def ensure_rng(seed: int) -> int:\n    raise TypeError(seed)\n"
+    findings = lint_source(src, "repro/rng.py", select=["RPR004"])
+    assert [f.message for f in findings] == [
+        "ensure_rng raises builtin TypeError instead of a repro.exceptions "
+        "type"]
+
+
 def test_rpr006_flags_every_float64_coercion_flavour():
     findings = lint_file(FIXTURES / "core" / "rpr006_dtype.py",
                          select=["RPR006"])

@@ -9,6 +9,7 @@ the predict path *is* the refinement phase's assignment rule.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import predict as predict_module
-from repro.core.predict import (DEFAULT_PREDICT_CHUNK, PredictReport,
-                                normalize_dimension_sets, predict_points)
+from repro.core.predict import (DEFAULT_PREDICT_CHUNK, FittedModel,
+                                PredictReport, normalize_dimension_sets,
+                                predict_points)
 from repro.core.proclus import proclus
 from repro.core.refinement import spheres_of_influence
 from repro.perf.kernels import segmental_columns
@@ -157,11 +159,14 @@ class TestSphereOfInfluence:
         ds, result = fitted
         dims = normalize_dimension_sets(result.dimensions,
                                         result.k, ds.points.shape[1])
-        spheres = spheres_of_influence(result.medoids, dims)
+        model = FittedModel.build(result.medoids, result.dimensions)
+        assert model.dim_sets == tuple(dims)
+        assert np.array_equal(model.spheres,
+                              spheres_of_influence(result.medoids, dims))
         a = predict_points(ds.points, result.medoids, result.dimensions)
-        b = predict_points(ds.points, result.medoids, result.dimensions,
-                           spheres=spheres)
+        b = model.predict(ds.points)
         assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.spheres, b.spheres)
 
     def test_segmental_distance_is_per_cluster_subspace(self):
         # medoid 0 looks at dim 0 only, medoid 1 at dim 1 only: a point
@@ -258,29 +263,12 @@ class TestValidation:
             predict_points(np.zeros((2, 2)),
                            np.array([[np.nan, 0.0]]), [(0,)])
 
-    def test_wrong_sphere_shape_rejected(self, fitted):
-        ds, result = fitted
-        with pytest.raises(ParameterError, match="spheres"):
-            result.predict_report(ds.points[:3], spheres=np.zeros(7))
-
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
-    def test_nan_or_negative_spheres_rejected(self, fitted, bad):
-        _, result = fitted
-        spheres = np.ones(result.k)
-        spheres[-1] = bad
-        with pytest.raises(ParameterError, match="spheres"):
-            result.predict_report(np.zeros((3, 10)), spheres=spheres)
-
-    def test_all_nan_spheres_rejected(self, fitted):
-        _, result = fitted
-        with pytest.raises(ParameterError, match="spheres"):
-            result.predict_report(np.zeros((3, 10)),
-                                  spheres=np.full(result.k, np.nan))
-
     def test_infinite_spheres_accepted(self, fitted):
         ds, result = fitted
-        report = result.predict_report(ds.points,
-                                       spheres=np.full(result.k, np.inf))
+        model = dataclasses.replace(
+            FittedModel.build(result.medoids, result.dimensions),
+            spheres=np.full(result.k, np.inf))
+        report = model.predict(ds.points)
         # an infinite sphere rejects nothing
         assert report.n_outliers == 0
         assert np.array_equal(
@@ -442,11 +430,10 @@ class TestBlockedMatchesWholeMatrix:
         X = rng.normal(size=(n, d))
         medoids = X[:k].copy()
         dim_sets = [(0, 1, 2), (3, 4), (5, 6, 7), (8, 9), (1, 4, 9)]
-        spheres = spheres_of_influence(medoids, dim_sets)
         whole_matrix_bytes = n * k * X.dtype.itemsize
         tracemalloc.start()
         try:
-            predict_points(X, medoids, dim_sets, spheres=spheres)
+            predict_points(X, medoids, dim_sets)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ParameterError
 from repro.rng import ensure_rng, spawn
 
 
@@ -25,7 +26,7 @@ class TestEnsureRng:
         assert ensure_rng(g) is g
 
     def test_rejects_strings(self):
-        with pytest.raises(TypeError, match="seed must be"):
+        with pytest.raises(ParameterError, match="seed must be"):
             ensure_rng("42")
 
 

@@ -16,6 +16,8 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 import pytest
 
+from repro.core import predict as predict_module
+from repro.core.predict import FittedModel
 from repro.core.proclus import proclus
 from repro.core.serialization import save_result
 from repro.exceptions import ParameterError, ServeError
@@ -401,6 +403,63 @@ class TestHTTPContract:
 # ---------------------------------------------------------------------------
 # retrying client
 # ---------------------------------------------------------------------------
+
+class TestModelPreparedOncePerLoad:
+    """``/predict`` runs on the model ``ModelStore.load`` prepared."""
+
+    PREPARATION = ("check_array", "normalize_dimension_sets",
+                   "spheres_of_influence", "segmental_layout")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("build",) + self.PREPARATION, 0)
+
+        def counting(name, real):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return spy
+
+        for name in self.PREPARATION:
+            monkeypatch.setattr(predict_module, name, counting(
+                name, getattr(predict_module, name)))
+        monkeypatch.setattr(FittedModel, "build", classmethod(counting(
+            "build", FittedModel.build.__func__)))
+        return counts
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_built_once_per_load_and_bit_identical(self, tmp_path, counts,
+                                                   dtype):
+        from repro.data import generate
+        ds = generate(600, 8, 3, cluster_dim_counts=[3, 3, 4],
+                      outlier_fraction=0.05, seed=78)
+        result = proclus(ds.points[:400], 3, 4.0, seed=78, dtype=dtype)
+        path = str(save_result(result, tmp_path / "model.npz"))
+        clean = ds.points[400:]
+        dirty = clean.copy()
+        dirty[::25, 2] = np.nan
+        requests = [(policy, batch, result.predict(
+            batch, on_bad_values=policy).tolist()) for policy, batch in (
+            ("raise", clean), ("drop", dirty), ("raise", clean))]
+        counts.update(dict.fromkeys(counts, 0))
+        srv = ProclusServer(ServerConfig(port=0), model_path=path).start()
+        try:
+            for policy, batch, expected in requests:
+                points = [[None if np.isnan(v) else float(v) for v in row]
+                          for row in batch]
+                status, _, body = post_json(
+                    srv.port, "/predict",
+                    {"points": points, "on_bad_values": policy})
+                assert status == 200
+                assert body["labels"] == expected
+            assert counts == dict.fromkeys(counts, 1)
+            status, _, _ = post_json(srv.port, "/reload", {})
+            assert status == 200
+            post_json(srv.port, "/predict", {"points": clean.tolist()})
+            assert counts == dict.fromkeys(counts, 2)
+        finally:
+            srv.drain_and_stop(drain_s=2.0)
+
 
 class TestPredictClient:
     def test_round_trip(self, model_env, server):
