@@ -66,16 +66,19 @@ class Dataset:
                 )
             self.labels = labels.astype(np.int64)
         if self.cluster_dimensions is not None:
-            cleaned: Dict[int, Tuple[int, ...]] = {}
-            for cid, dims in self.cluster_dimensions.items():
-                dims = tuple(sorted(int(j) for j in dims))
+            try:
+                pairs = [(int(cid), tuple(sorted(int(j) for j in dims)))
+                         for cid, dims in self.cluster_dimensions.items()]
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise DataError("cluster_dimensions must map cluster ids to "
+                                f"dimension indices: {exc}")
+            for cid, dims in pairs:
                 if dims and (dims[0] < 0 or dims[-1] >= self.n_dims):
                     raise DataError(
                         f"cluster {cid}: dimension indices {dims} out of "
                         f"range for d={self.n_dims}"
                     )
-                cleaned[int(cid)] = dims
-            self.cluster_dimensions = cleaned
+            self.cluster_dimensions = dict(pairs)
 
     # ------------------------------------------------------------------
     # Shape and ground-truth accessors

@@ -9,12 +9,14 @@ a ``# cluster_dims:`` header comment so a CSV written by
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from ..exceptions import DataError
+from ..validation import check_path
 from .dataset import Dataset
 
 __all__ = ["save_csv", "load_csv", "save_npz", "load_npz"]
@@ -27,7 +29,7 @@ _NAME_HEADER = "# name:"
 
 def save_csv(dataset: Dataset, path: PathLike) -> Path:
     """Write ``dataset`` to CSV; returns the path written."""
-    path = Path(path)
+    path = check_path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{_NAME_HEADER} {dataset.name}\n")
         if dataset.cluster_dimensions is not None:
@@ -48,46 +50,50 @@ def save_csv(dataset: Dataset, path: PathLike) -> Path:
 def load_csv(path: PathLike, *, allow_nonfinite: bool = False) -> Dataset:
     """Read a dataset previously written by :func:`save_csv`.
 
+    The preamble -- ``# name:`` and ``# cluster_dims:`` lines, then the
+    column header -- is read line by line; those two keys are honoured
+    only before the header, where :func:`save_csv` writes them.  The
+    body is parsed by one ``np.loadtxt`` call, which skips blank lines
+    and ``#`` comments, and reads each float as ``float()`` does, so a
+    round trip is bit-exact.  A malformed cell, a non-integer label, a
+    row whose width differs from the header's, an unreadable file or a
+    file without data rows raises :class:`~repro.exceptions.DataError`.
+
     ``allow_nonfinite=True`` accepts NaN/inf cells (e.g. dirty exports
     headed for the sanitization pipeline) instead of raising
     :class:`~repro.exceptions.DataError`.
     """
-    path = Path(path)
+    path = check_path(path)
     name = path.stem
     cluster_dims = None
-    rows = []
-    labels = []
-    has_labels = False
-    with path.open("r", encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith(_NAME_HEADER):
-                name = line[len(_NAME_HEADER):].strip()
-                continue
-            if line.startswith(_DIMS_HEADER):
-                payload = json.loads(line[len(_DIMS_HEADER):].strip())
-                cluster_dims = {int(k): tuple(v) for k, v in payload.items()}
-                continue
-            if line.startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True
-                has_labels = line.split(",")[-1].strip() == "label"
-                continue
-            parts = line.split(",")
-            if has_labels:
-                rows.append([float(v) for v in parts[:-1]])
-                labels.append(int(parts[-1]))
-            else:
-                rows.append([float(v) for v in parts])
-    if not rows:
+    line = ""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith(_NAME_HEADER):
+                    name = line[len(_NAME_HEADER):].strip()
+                elif line.startswith(_DIMS_HEADER):
+                    cluster_dims = json.loads(line[len(_DIMS_HEADER):])
+                elif line and not line.startswith("#"):
+                    break  # the column header
+            has_labels = line.split(",")[-1].strip() == "label"
+            d = line.count(",") + 1 - has_labels
+            fields = [("p", "f8", (d,)), ("label", "i8")][:1 + has_labels]
+            # without a header fh is at EOF, so this warns "no data" too
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=fields, delimiter=",",
+                                  comments="#", ndmin=1)
+    except UserWarning:
         raise DataError(f"{path} contains no data rows")
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}")
     return Dataset(
-        points=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64) if has_labels else None,
+        points=rows["p"],
+        labels=rows["label"] if has_labels else None,
         cluster_dimensions=cluster_dims,
         name=name,
         allow_nonfinite=allow_nonfinite,
@@ -96,7 +102,7 @@ def load_csv(path: PathLike, *, allow_nonfinite: bool = False) -> Dataset:
 
 def save_npz(dataset: Dataset, path: PathLike) -> Path:
     """Write ``dataset`` to a compressed ``.npz``; returns the path."""
-    path = Path(path)
+    path = check_path(path)
     arrays = {"points": dataset.points, "name": np.asarray(dataset.name)}
     if dataset.labels is not None:
         arrays["labels"] = dataset.labels
@@ -109,13 +115,12 @@ def save_npz(dataset: Dataset, path: PathLike) -> Path:
 
 def load_npz(path: PathLike) -> Dataset:
     """Read a dataset previously written by :func:`save_npz`."""
-    with np.load(Path(path), allow_pickle=False) as data:
+    with np.load(check_path(path), allow_pickle=False) as data:
         points = data["points"]
         labels = data["labels"] if "labels" in data else None
         cluster_dims = None
         if "cluster_dims_json" in data:
-            payload = json.loads(str(data["cluster_dims_json"]))
-            cluster_dims = {int(k): tuple(v) for k, v in payload.items()}
+            cluster_dims = json.loads(str(data["cluster_dims_json"]))
         name = str(data["name"]) if "name" in data else Path(path).stem
     return Dataset(points=points, labels=labels,
                    cluster_dimensions=cluster_dims, name=name)

@@ -7,7 +7,7 @@ truth is carried through and adjusted where the transform affects it).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -72,7 +72,8 @@ def add_noise_dimensions(dataset: Dataset, n_noise: int, *,
 
 
 def shuffle_points(dataset: Dataset, seed: SeedLike = None,
-                   return_permutation: bool = False):
+                   return_permutation: bool = False
+                   ) -> Union[Dataset, Tuple[Dataset, np.ndarray]]:
     """Randomly permute point order (labels permuted consistently)."""
     rng = ensure_rng(seed)
     perm = rng.permutation(dataset.n_points)

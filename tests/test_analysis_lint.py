@@ -101,6 +101,18 @@ def test_rpr004_covers_rng():
         "type"]
 
 
+def test_rpr004_covers_data():
+    # the dataset readers are where file input enters the library
+    src = ("def load_csv(path):\n    raise ValueError(path)\n\n"
+           "def _helper(x):\n    raise ValueError(x)\n")
+    findings = lint_source(src, "repro/data/io.py", select=["RPR004"])
+    assert [f.message for f in findings] == [
+        "public function load_csv has unannotated parameter(s): path",
+        "public function load_csv has no return annotation",
+        "load_csv raises builtin ValueError instead of a repro.exceptions "
+        "type"]
+
+
 def test_rpr006_flags_every_float64_coercion_flavour():
     findings = lint_file(FIXTURES / "core" / "rpr006_dtype.py",
                          select=["RPR006"])

@@ -171,3 +171,37 @@ class TestEndToEnd:
                    "--n-runs", "2", "--seed", "7"])
         assert rc == 0
         assert "stability over 2 runs" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    from repro import proclus
+    from repro.core.serialization import save_result
+    from repro.data import generate
+
+    ds = generate(300, 6, 2, cluster_dim_counts=[3, 3], seed=3)
+    path = tmp_path_factory.mktemp("model") / "model.npz"
+    return save_result(proclus(ds.points, 2, 3, seed=3), path)
+
+
+class TestBadCsvInput:
+    """Malformed input CSVs exit 2 with a one-line message, no traceback."""
+
+    @pytest.mark.parametrize("body, match", [
+        ("x0,x1\n1,2\n1,a\n", "could not convert string 'a'"),
+        ("x0,x1\n1,2\n3\n", "requires 2 columns but 1 were found"),
+        (None, "cannot read"),
+    ], ids=["bad-cell", "ragged-row", "missing-file"])
+    @pytest.mark.parametrize("command", ["cluster", "predict"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, saved_model,
+                                   command, body, match):
+        csv = tmp_path / "bad.csv"
+        if body is not None:
+            csv.write_text(body)
+        argv = (["cluster", str(csv), "-k", "1", "-l", "2"]
+                if command == "cluster"
+                else ["predict", str(saved_model), str(csv)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err and str(csv) in err

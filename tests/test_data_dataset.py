@@ -28,6 +28,16 @@ class TestConstruction:
         with pytest.raises(DataError, match="out of"):
             Dataset(points=np.zeros((3, 2)), cluster_dimensions={0: (5,)})
 
+    @pytest.mark.parametrize("dims", [[1, 2], {0: 3}, {"a": [0]}, {0: ["x"]}])
+    def test_malformed_dimension_map_is_a_data_error(self, dims):
+        with pytest.raises(DataError, match="must map cluster ids"):
+            Dataset(points=np.zeros((3, 2)), cluster_dimensions=dims)
+
+    def test_dimension_map_keys_and_indices_coerced(self):
+        ds = Dataset(points=np.zeros((3, 2)),
+                     cluster_dimensions={"1": [1, 0], 0: (1,)})
+        assert ds.cluster_dimensions == {1: (0, 1), 0: (1,)}
+
     def test_dims_sorted_and_deduped(self):
         ds = make_dataset()
         assert ds.cluster_dimensions[1] == (0, 1)
