@@ -9,9 +9,10 @@ over the 1.3x this bench gates on at the largest size.
 
 The bench runs ``run_iterative_phase`` on the paper's Figure-7
 configuration (20-dim space, 5 clusters of dimensionality 5, 5%
-outliers) in both precisions, cache off (the kernel-bound
-configuration: every vertex recomputes its columns) and cache on, and
-asserts:
+outliers) in both precisions, on a :class:`~conftest.NoReuseCache`
+(reported as "uncached": the kernel-bound configuration, where every
+vertex recomputes its columns in the fused pass) and on a shared cache,
+and asserts:
 
 * the float32/float64 **uncached** speedup at ``N = 16000`` is at
   least **1.3x** (the tentpole acceptance gate);
@@ -28,17 +29,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import (K, L, N_DIMS, SEED, phase_fingerprint,
+                      phase_workload, run_once, run_phase)
 
-from repro.core import run_iterative_phase
-from repro.core.initialization import initialize_medoid_pool
-from repro.data.synthetic import SyntheticDataGenerator
-from repro.experiments.configs import make_scalability_config
-from repro.rng import ensure_rng, spawn
-
-K, L = 5, 5
-N_DIMS = 20
-SEED = 7
 SIZES = (2000, 4000, 8000, 16000)
 REPEATS = 3
 GATE_SPEEDUP = 1.3
@@ -46,40 +39,22 @@ GATE_SPEEDUP = 1.3
 OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_dtype_kernels.json"
 
 
-def _workload(n_points, dtype):
-    cfg = make_scalability_config(n_points, N_DIMS, K, seed=SEED)
-    X = SyntheticDataGenerator(cfg).generate().points.astype(dtype)
-    rng_init, _ = spawn(ensure_rng(SEED), 2)
-    pool = initialize_medoid_pool(X, 30 * K, 5 * K, seed=rng_init)
-    return X, pool
-
-
-def _run(X, pool, cache):
-    return run_iterative_phase(X, pool, K, L, seed=SEED,
-                               cache=cache)
-
-
-def _fingerprint(out):
-    return (out.medoid_indices.tolist(), out.dim_sets, out.labels.tolist(),
-            out.objective, out.n_iterations, out.terminated_by)
-
-
-def _timed(X, pool, cache):
+def _timed(X, pool, reuse):
     t0 = time.perf_counter()
-    _run(X, pool, cache)
+    run_phase(X, pool, reuse=reuse)
     return time.perf_counter() - t0
 
 
 def test_dtype_smoke_deterministic_and_native():
     """CI gate: float32 stays float32 end-to-end and is deterministic."""
-    X, pool = _workload(1500, np.float32)
+    X, pool = phase_workload(1500, np.float32)
     assert X.dtype == np.float32
-    a = _run(X, pool, cache=True)
-    b = _run(X, pool, cache=False)
-    assert _fingerprint(a) == _fingerprint(b)
+    a = run_phase(X, pool)
+    b = run_phase(X, pool, reuse=False)
+    assert phase_fingerprint(a) == phase_fingerprint(b)
     # same partition as the float64 reference on this separated workload
-    X64, pool64 = _workload(1500, np.float64)
-    ref = _run(X64, pool64, cache=True)
+    X64, pool64 = phase_workload(1500, np.float64)
+    ref = run_phase(X64, pool64)
     assert np.array_equal(np.asarray(pool), np.asarray(pool64))
     assert np.array_equal(a.labels, ref.labels)
 
@@ -91,11 +66,11 @@ def test_dtype_speedup_fig7(benchmark):
             row = {"n_points": n}
             for dtype, tag in ((np.float64, "float64"),
                                (np.float32, "float32")):
-                X, pool = _workload(n, dtype)
-                _run(X, pool, cache=False)  # warm numpy/allocator
-                out_a = _run(X, pool, cache=False)
-                out_b = _run(X, pool, cache=False)
-                assert _fingerprint(out_a) == _fingerprint(out_b)
+                X, pool = phase_workload(n, dtype)
+                run_phase(X, pool, reuse=False)  # warm numpy/allocator
+                out_a = run_phase(X, pool, reuse=False)
+                out_b = run_phase(X, pool, reuse=False)
+                assert phase_fingerprint(out_a) == phase_fingerprint(out_b)
                 row[f"{tag}_uncached_seconds"] = min(
                     _timed(X, pool, False) for _ in range(REPEATS))
                 row[f"{tag}_cached_seconds"] = min(
@@ -121,6 +96,7 @@ def test_dtype_speedup_fig7(benchmark):
             "l": L,
             "seed": SEED,
             "timing": f"best of {REPEATS} runs of run_iterative_phase",
+            "uncached": "NoReuseCache: stores emptied every vertex",
             "gate": f"uncached float32 speedup >= {GATE_SPEEDUP}x at "
                     f"N={SIZES[-1]}",
         },

@@ -6,8 +6,10 @@ only the swapped (bad) medoids — typically 1-2 of ``k``.  The
 columns, cutting the per-iteration distance work from ``O(N*k*d)`` to
 ``O(N*|bad|*d)``.  This bench runs the iterative phase on the paper's
 Figure-7 configuration (20-dim space, 5 clusters of dimensionality 5,
-5% outliers) with the cache on and off, asserts the two runs are
-**bit-identical**, and requires the cache to win by at least 2x at the
+5% outliers) with a shared cache and with a
+:class:`~conftest.NoReuseCache` (the same fused pass, nothing reused
+across vertices; reported as "uncached"), asserts the two runs are
+**bit-identical**, and requires reuse to win by at least 2x at the
 largest size.
 
 Timings land in ``BENCH_iterative_cache.json`` at the repo root (see
@@ -18,63 +20,37 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-from conftest import run_once
+from conftest import (K, L, N_DIMS, SEED, phase_fingerprint,
+                      phase_workload, run_once, run_phase)
 
-from repro.core import run_iterative_phase
-from repro.core.initialization import initialize_medoid_pool
-from repro.data.synthetic import SyntheticDataGenerator
-from repro.experiments.configs import make_scalability_config
-from repro.rng import ensure_rng, spawn
-
-K, L = 5, 5
-N_DIMS = 20
-SEED = 7
 SIZES = (2000, 4000, 8000, 16000)
 REPEATS = 3
 
 OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_iterative_cache.json"
 
 
-def _workload(n_points):
-    cfg = make_scalability_config(n_points, N_DIMS, K, seed=SEED)
-    X = SyntheticDataGenerator(cfg).generate().points
-    rng_init, _ = spawn(ensure_rng(SEED), 2)
-    pool = initialize_medoid_pool(X, 30 * K, 5 * K, seed=rng_init)
-    return X, pool
-
-
-def _run(X, pool, cache):
-    return run_iterative_phase(X, pool, K, L, seed=SEED,
-                               cache=cache)
-
-
-def _fingerprint(out):
-    return (out.medoid_indices.tolist(), out.dim_sets, out.labels.tolist(),
-            out.objective, out.n_iterations, out.terminated_by)
-
-
 def test_cache_smoke_bit_identical():
-    """CI gate: cached and uncached phases agree to the last bit."""
-    X, pool = _workload(1500)
-    cached = _run(X, pool, cache=True)
-    uncached = _run(X, pool, cache=False)
-    assert _fingerprint(cached) == _fingerprint(uncached)
-    assert cached.cache_stats is not None
+    """CI gate: shared-cache and no-reuse phases agree to the last bit."""
+    X, pool = phase_workload(1500)
+    cached = run_phase(X, pool)
+    uncached = run_phase(X, pool, reuse=False)
+    assert phase_fingerprint(cached) == phase_fingerprint(uncached)
     assert cached.cache_stats["distance"]["hits"] > 0
+    assert uncached.cache_stats["distance"]["hits"] == 0
 
 
 def test_cache_speedup_fig7(benchmark):
     def sweep():
         rows = []
         for n in SIZES:
-            X, pool = _workload(n)
-            _run(X, pool, cache=False)  # warm numpy/allocator
+            X, pool = phase_workload(n)
+            run_phase(X, pool, reuse=False)  # warm numpy/allocator
             uncached = min(_timed(X, pool, False) for _ in range(REPEATS))
             cached = min(_timed(X, pool, True) for _ in range(REPEATS))
-            out_cached = _run(X, pool, cache=True)
-            out_uncached = _run(X, pool, cache=False)
-            assert _fingerprint(out_cached) == _fingerprint(out_uncached)
+            out_cached = run_phase(X, pool)
+            out_uncached = run_phase(X, pool, reuse=False)
+            assert (phase_fingerprint(out_cached)
+                    == phase_fingerprint(out_uncached))
             rows.append({
                 "n_points": n,
                 "uncached_seconds": uncached,
@@ -84,9 +60,9 @@ def test_cache_speedup_fig7(benchmark):
             })
         return rows
 
-    def _timed(X, pool, cache):
+    def _timed(X, pool, reuse):
         t0 = time.perf_counter()
-        _run(X, pool, cache=cache)
+        run_phase(X, pool, reuse=reuse)
         return time.perf_counter() - t0
 
     rows = run_once(benchmark, sweep)
@@ -102,6 +78,7 @@ def test_cache_speedup_fig7(benchmark):
             "l": L,
             "seed": SEED,
             "timing": f"best of {REPEATS} runs of run_iterative_phase",
+            "uncached": "NoReuseCache: stores emptied every vertex",
         },
         "sizes": list(SIZES),
         "results": rows,

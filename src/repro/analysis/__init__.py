@@ -1,7 +1,7 @@
 """Static analysis: machine-checked determinism & contract lint.
 
 The reproduction's headline guarantees — seeded runs are bit-identical
-across cache on/off and serial/parallel execution — rest on invariants
+across cache hits and misses and serial/parallel execution — rest on invariants
 spread over ~10 modules that tests can only spot-check.  This package
 turns them into lint rules enforced on every commit:
 

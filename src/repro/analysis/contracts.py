@@ -40,7 +40,7 @@ class CacheKeyContract:
     key built for that store inside the contracted method.  RPR003
     flags a method whose keys omit any of them — an under-keyed cache
     returns stale values when the omitted quantity changes, which
-    breaks bit-identity with the uncached path.
+    breaks bit-identity with recomputing them.
     """
 
     store: str
@@ -100,7 +100,7 @@ SHAREABLE_TYPE_NAMES: FrozenSet[str] = frozenset({
 
 #: Directories whose files RPR002 guards: the numeric core, where a
 #: wall-clock read or unordered-set iteration feeding a result value
-#: breaks serial/parallel and cached/uncached bit-identity — plus the
+#: breaks serial/parallel and cache hit/miss bit-identity — plus the
 #: serving layer, whose labels must be bit-identical to the fit path
 #: (all serve timing goes through ``repro.obs.clock`` / ``Deadline``).
 DETERMINISM_SCOPED_DIRS: Tuple[str, ...] = ("core", "perf", "distance",

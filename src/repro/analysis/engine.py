@@ -1,8 +1,8 @@
 """AST lint engine enforcing the library's determinism contracts.
 
 The PROCLUS reproduction promises bit-identical results across cache
-on/off, serial/parallel, and repeated seeded runs.  Those guarantees
-rest on source-level invariants (every random draw threads a seeded
+hits and misses, serial/parallel, and repeated seeded runs.  Those
+guarantees rest on source-level invariants (every random draw threads a seeded
 ``Generator``, no wall-clock value feeds a result, every cache key
 covers the quantities that determine its value) that no runtime test
 can exhaustively cover — a single ``np.random.rand`` call in a rarely

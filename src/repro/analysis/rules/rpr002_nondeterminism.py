@@ -1,8 +1,8 @@
 """RPR002 — no nondeterminism primitives in the numeric core.
 
 Scoped to ``core/``, ``perf/`` and ``distance/``: the packages whose
-outputs must be bit-identical across cache on/off, serial/parallel and
-repeated seeded runs.  Two classes of violation:
+outputs must be bit-identical across cache hits and misses,
+serial/parallel and repeated seeded runs.  Two classes of violation:
 
 * **Wall-clock / entropy reads** (``time.time``, ``os.urandom``,
   ``uuid.uuid4``, ``datetime.now`` ...) — any such value that reaches a

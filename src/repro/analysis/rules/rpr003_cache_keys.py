@@ -1,7 +1,7 @@
 """RPR003 — cache-key completeness.
 
-:class:`repro.perf.cache.IterativeCache` is only bit-identical to the
-uncached path if every store key covers *all* quantities that determine
+:class:`repro.perf.cache.IterativeCache` only serves what a miss would
+recompute if every store key covers *all* quantities that determine
 the cached value: a key that omits, say, the metric returns a Euclidean
 column to a Manhattan caller.  The determining quantities are declared
 per method in :data:`repro.analysis.contracts.CACHE_KEY_CONTRACTS`;

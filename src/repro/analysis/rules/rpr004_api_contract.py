@@ -1,8 +1,8 @@
 """RPR004 — public API surface: complete annotations, typed errors.
 
 Applies to the package root ``__init__.py``, ``cli.py``, ``rng.py``,
-and every module under ``core/``, ``serve/`` and ``data/``.  Two
-guarantees:
+and every module under ``core/``, ``serve/``, ``data/`` and
+``extensions/``.  Two guarantees:
 
 * **Complete type annotations** on public functions and public methods
   of public classes — the contract the ``mypy --strict`` gate then
@@ -42,7 +42,7 @@ _BUILTIN_EXCEPTIONS = frozenset({
 
 
 def _in_scope(ctx: FileContext) -> bool:
-    if (ctx.in_dirs("core", "serve", "data")
+    if (ctx.in_dirs("core", "serve", "data", "extensions")
             or ctx.basename in ("cli.py", "rng.py")):
         return True
     # the package root __init__ (repro/__init__.py), not every package's

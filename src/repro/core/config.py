@@ -89,14 +89,6 @@ class ProclusConfig:
         all points throughout, as the paper does.  Composes with
         ``restarts``: every restart runs on its own subsample.  Must be
         at least ``A * k`` when it is smaller than N.
-    cache:
-        Enable the incremental per-medoid distance cache
-        (:class:`~repro.perf.cache.IterativeCache`, default on): each
-        hill-climbing vertex recomputes only the columns its medoid
-        swaps invalidated, bounded in memory by the same budget the
-        distance kernels honour.  Results are bit-identical with the
-        cache on or off; hit statistics land on ``result.cache_stats``.
-        See ``docs/performance.md``.
     dtype:
         Working dtype of the compute path: ``"float64"`` (default) or
         ``"float32"``.  The input is converted **once** at the public
@@ -176,7 +168,6 @@ class ProclusConfig:
     metric: Union[str, Metric] = "euclidean"
     handle_outliers: bool = True
     fit_sample_size: Optional[int] = None
-    cache: bool = True
     dtype: str = "float64"
     restarts: int = field(default=1, metadata=_RUN)
     time_budget_s: Optional[float] = field(default=None, metadata=_RUN)
@@ -198,7 +189,7 @@ class ProclusConfig:
                      "max_iterations", "restarts"):
             setattr(self, name,
                     check_positive_int(getattr(self, name), name=name))
-        for name in ("handle_outliers", "cache", "resume"):
+        for name in ("handle_outliers", "resume"):
             setattr(self, name, check_flag(getattr(self, name), name=name))
         for name in ("time_budget_s", "restart_timeout_s"):
             setattr(self, name,

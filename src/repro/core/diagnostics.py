@@ -182,7 +182,7 @@ class CacheReport:
 
 
 def cache_report(stats: Optional[Mapping[str, Mapping[str, float]]]) -> Optional[CacheReport]:
-    """Summarise ``result.cache_stats``; ``None`` for uncached runs."""
+    """Summarise ``result.cache_stats``; ``None`` when a result has none."""
     if stats is None:
         return None
     memory = stats.get("memory", {})

@@ -40,7 +40,7 @@ from ..distance.matrix import cross_distances, per_dimension_average_distance
 from ..distance.segmental import segmental_distances_to_point
 from ..dtypes import as_working, to_float64
 from ..exceptions import ParameterError
-from ..perf.cache import IterativeCache, select_locality
+from ..perf.cache import IterativeCache
 from ..validation import check_array
 
 __all__ = [
@@ -70,36 +70,31 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
         fewer than ``min_locality_size`` points qualify, the nearest
         ``min_locality_size`` non-medoid points are used instead.
 
-    With a :class:`~repro.perf.cache.IterativeCache`, the members come
-    from :meth:`IterativeCache.localities
-    <repro.perf.cache.IterativeCache.localities>`: distance columns and
-    member sets of medoids unchanged since the previous vertex are
-    reused instead of recomputed, and a new medoid's ``|X - m|`` also
-    yields its statistics row; results are bit-identical either way.
+    The members come from :meth:`IterativeCache.localities
+    <repro.perf.cache.IterativeCache.localities>` of ``cache``, or of a
+    call-local :class:`~repro.perf.cache.IterativeCache` when none is
+    given: a new medoid's one pass over ``|X - m|`` yields its distance
+    column, its members and its statistics row, and a shared cache
+    reuses the columns and member sets of medoids unchanged since the
+    previous vertex.
     ``X`` is not validated here: the hill climb validates it once per
     phase, and the :mod:`repro.core` export validates it first.
     """
     X = as_working(X)
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
-    k = medoid_indices.size
-    if k < 2:
+    if medoid_indices.size < 2:
         raise ParameterError("localities need at least 2 medoids")
     medoids = X[medoid_indices]
     med_dist = cross_distances(medoids, medoids, metric)
     np.fill_diagonal(med_dist, np.inf)
     deltas = med_dist.min(axis=1)
-    if cache is not None:
-        columns = cache.distance_columns(X, medoid_indices, metric,
-                                         deltas=deltas,
-                                         min_size=min_locality_size)
-        localities = cache.localities(columns, medoid_indices, metric,
-                                      deltas=deltas,
-                                      min_size=min_locality_size)
-    else:
-        columns = cross_distances(X, medoids, metric).T
-        localities = [select_locality(columns[i], deltas[i],
-                                      medoid_indices[i], min_locality_size)
-                      for i in range(k)]
+    if cache is None:
+        cache = IterativeCache()
+    columns = cache.distance_columns(X, medoid_indices, metric,
+                                     deltas=deltas,
+                                     min_size=min_locality_size)
+    localities = cache.localities(columns, medoid_indices, metric,
+                                  deltas=deltas, min_size=min_locality_size)
     return localities, deltas
 
 
@@ -219,9 +214,14 @@ def find_dimensions(X: np.ndarray, medoid_indices: np.ndarray, l: float, *,
     Computes localities (unless given), the ``X_{i,j}`` statistics, the
     Z-scores, and the constrained allocation of ``k*l`` dimensions.
     ``exclude_dims`` soft-excludes dimensions from the ranking (see the
-    module docstring).  With ``cache`` and the ``deltas`` that produced
+    module docstring).  Without ``localities``, they and their
+    statistics rows come from one pass per medoid through ``cache`` (a
+    call-local :class:`~repro.perf.cache.IterativeCache` when none is
+    given).  With ``cache`` and the ``deltas`` that produced
     ``localities``, statistic rows of medoids whose locality is
-    unchanged since the previous vertex are reused (bit-identical).
+    unchanged since the previous vertex are reused (bit-identical);
+    ``localities`` without ``deltas`` form no cache key, so their rows
+    are computed directly.
     ``X`` is not validated here: the hill climb validates it once per
     phase, and the :mod:`repro.core` export validates it first.
     """
@@ -229,6 +229,8 @@ def find_dimensions(X: np.ndarray, medoid_indices: np.ndarray, l: float, *,
     k = medoid_indices.size
     total = int(round(k * l))
     if localities is None:
+        if cache is None:
+            cache = IterativeCache()
         localities, deltas = compute_localities(
             X, medoid_indices, metric=metric,
             min_locality_size=max(2, min_per_cluster),

@@ -72,7 +72,7 @@ class IterativePhaseResult:
     terminated_by: str
     history: List[IterationRecord] = field(default_factory=list)
     seconds: float = 0.0
-    cache_stats: Optional[Dict[str, Dict[str, float]]] = None
+    cache_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def objective_history(self) -> List[float]:
@@ -124,7 +124,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                         seed: SeedLike = None,
                         deadline: Optional[Deadline] = None,
                         exclude_dims: Sequence[int] = (),
-                        cache: Union[bool, IterativeCache, None] = None) -> IterativePhaseResult:
+                        cache: Optional[IterativeCache] = None) -> IterativePhaseResult:
     """Hill-climb to the best medoid set drawn from ``pool``.
 
     Parameters mirror :class:`~repro.core.config.ProclusConfig`;
@@ -134,19 +134,17 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
     completion so the result is well-formed.  ``exclude_dims`` is
     forwarded to :func:`~repro.core.dimensions.find_dimensions`.
 
-    ``cache`` enables the incremental per-medoid cache
-    (:class:`~repro.perf.cache.IterativeCache`): ``True`` builds one
-    with the default memory budget, an instance is used as-is (and can
-    be shared with the refinement phase), ``None``/``False`` recomputes
-    every vertex from scratch.  Cached and uncached runs produce
-    bit-identical results; only the wall clock differs.
+    Every vertex computes through the incremental per-medoid cache
+    (:class:`~repro.perf.cache.IterativeCache`): ``cache=None`` builds
+    one with the default memory budget; an instance is used as it is
+    (and can be shared with the refinement phase).  Reuse changes only
+    the wall clock, never a bit: ``tests/test_reference_proclus.py``
+    checks the phase against a literal transcription of the paper.
     """
     t0 = monotonic_s()
     tracer = get_tracer()
-    if cache is True:
+    if cache is None:
         cache = IterativeCache()
-    elif cache is False:
-        cache = None
     X = check_array(X, name="X")
     # one column-major copy serves every vertex's EvaluateClusters
     Xc = column_major(X)
@@ -210,11 +208,10 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                 tries_without_improvement = 0
             else:
                 tries_without_improvement += 1
-                if cache is not None:
-                    # a rejected vertex's swapped-in medoids are unlikely
-                    # to be drawn again soon; drop their columns to keep
-                    # the cache at the surviving vertex's working set
-                    cache.discard_rows(np.setdiff1d(current, best_medoids))
+                # a rejected vertex's swapped-in medoids are unlikely to
+                # be drawn again soon; drop their columns to keep the
+                # cache at the surviving vertex's working set
+                cache.discard_rows(np.setdiff1d(current, best_medoids))
             if tracer.enabled:
                 tracer.event("iteration", iteration=iteration,
                              objective=float(objective), improved=improved,
@@ -266,5 +263,5 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
         terminated_by=terminated_by,
         history=history,
         seconds=monotonic_s() - t0,
-        cache_stats=cache.stats_dict() if cache is not None else None,
+        cache_stats=cache.stats_dict(),
     )

@@ -23,8 +23,8 @@ Semantics mirror the refinement phase (paper section 2.3) exactly:
 Because the distance kernel, the spheres, and the nearest-medoid scan
 (with its first-index tie-break) are the ones the fit itself used,
 ``predict(X_train)`` on a clean fit is **bit-identical** to
-``result.labels`` — across working dtypes, cache on/off, and
-serial/parallel fits (test-enforced).  Queries compute natively in the
+``result.labels`` — across working dtypes and serial/parallel fits
+(test-enforced).  Queries compute natively in the
 fitted working dtype.
 
 **One pass per row block.**  :meth:`FittedModel.predict` walks the batch in

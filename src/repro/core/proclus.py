@@ -122,7 +122,7 @@ def _fit(X: np.ndarray, config: ProclusConfig, *,
         best.fault_tolerance = ft
         return best
 
-    cache_obj = IterativeCache() if config.cache else None
+    cache_obj = IterativeCache()
     sample_size = config.fit_sample_size
     if sample_size is not None and sample_size < X.shape[0]:
         rng_sample, rng_fit = spawn(ensure_rng(config.seed), 2)
@@ -172,8 +172,7 @@ def _fit(X: np.ndarray, config: ProclusConfig, *,
                 "refinement": monotonic_s() - t0,
             },
             terminated_by=sub.terminated_by,
-            cache_stats=(cache_obj.stats_dict()
-                         if cache_obj is not None else None),
+            cache_stats=cache_obj.stats_dict(),
         )
 
     rng_init, rng_iter = spawn(ensure_rng(config.seed), 2)
@@ -231,8 +230,7 @@ def _fit(X: np.ndarray, config: ProclusConfig, *,
             "refinement": t_refine,
         },
         terminated_by=phase2.terminated_by,
-        cache_stats=(cache_obj.stats_dict()
-                     if cache_obj is not None else None),
+        cache_stats=cache_obj.stats_dict(),
     )
 
 
@@ -248,7 +246,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
             collapse_duplicates: bool = False,
             auto_degrade: bool = False,
             time_budget_s: Optional[float] = None,
-            cache: bool = True,
             n_jobs: int = 1,
             max_retries: int = 2,
             restart_timeout_s: Optional[float] = None,
@@ -306,7 +303,7 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         min_deviation=min_deviation, max_bad_tries=max_bad_tries,
         max_iterations=max_iterations, metric=metric,
         handle_outliers=handle_outliers, fit_sample_size=fit_sample_size,
-        cache=cache, dtype=dtype, restarts=restarts,
+        dtype=dtype, restarts=restarts,
         time_budget_s=time_budget_s, n_jobs=n_jobs, max_retries=max_retries,
         restart_timeout_s=restart_timeout_s, checkpoint_dir=checkpoint_dir,
         resume=resume, seed=seed,

@@ -75,9 +75,10 @@ class ProclusResult:
         mapping back has already been applied.
     cache_stats:
         Hit/miss/eviction counters of the incremental distance cache
-        (per store, plus a ``"memory"`` entry), when the fit ran with
-        ``cache=True``; ``None`` otherwise.  See ``docs/performance.md``
-        for how to read them.
+        (per store, plus a ``"memory"`` entry) that every PROCLUS fit
+        computes through; ``None`` for the k-medoids fallback and for
+        files saved without them.  See ``docs/performance.md`` for how
+        to read them.
     parallelism:
         Restart fan-out diagnostics when the fit ran with
         ``restarts > 1``: the requested ``n_jobs``, the worker count

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from pathlib import Path
 from typing import Union
 
@@ -114,13 +115,28 @@ def save_npz(dataset: Dataset, path: PathLike) -> Path:
 
 
 def load_npz(path: PathLike) -> Dataset:
-    """Read a dataset previously written by :func:`save_npz`."""
-    with np.load(check_path(path), allow_pickle=False) as data:
-        points = data["points"]
-        labels = data["labels"] if "labels" in data else None
-        cluster_dims = None
-        if "cluster_dims_json" in data:
-            cluster_dims = json.loads(str(data["cluster_dims_json"]))
-        name = str(data["name"]) if "name" in data else Path(path).stem
+    """Read a dataset previously written by :func:`save_npz`.
+
+    An unreadable file, a file that is not an ``.npz`` archive (a bare
+    ``.npy`` array, pickled data, anything else), an archive without a
+    ``points`` array and a malformed ``cluster_dims_json`` raise
+    :class:`~repro.exceptions.DataError`.
+    """
+    path = check_path(path)
+    try:
+        # an archive only: np.load would also hand back a bare .npy array
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as data:
+            points = data["points"]
+            labels = data.get("labels")
+            # a missing entry reads as JSON null: no dimension sets
+            cluster_dims = json.loads(str(data.get("cluster_dims_json",
+                                                   "null")))
+            name = str(data.get("name", path.stem))
+    except KeyError:
+        raise DataError(f"{path} holds no 'points' array")
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        # a missing, unreadable or non-zip file, a pickled or corrupt
+        # member, or cluster_dims_json that is not JSON
+        raise DataError(f"cannot read {path} as an .npz dataset: {exc}")
     return Dataset(points=points, labels=labels,
                    cluster_dimensions=cluster_dims, name=name)

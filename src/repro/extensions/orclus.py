@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,7 +124,8 @@ class _ClusterStats:
         return self.ss / self.n - np.outer(c, c)
 
 
-def orclus(X, k: int, l: int, *, seed_factor: int = 5, alpha: float = 0.5,
+def orclus(X: Union[np.ndarray, Dataset], k: int, l: int, *,
+           seed_factor: int = 5, alpha: float = 0.5,
            max_passes: int = 50, outlier_factor: Optional[float] = None,
            seed: SeedLike = None) -> OrclusResult:
     """Run ORCLUS and return an :class:`OrclusResult`.
@@ -268,7 +269,7 @@ class Orclus:
         self.seed = seed
         self.result_: Optional[OrclusResult] = None
 
-    def fit(self, X) -> "Orclus":
+    def fit(self, X: Union[np.ndarray, Dataset]) -> "Orclus":
         """Run ORCLUS; returns self with ``result_`` populated."""
         self.result_ = orclus(
             X, self.k, self.l, seed_factor=self.seed_factor,
@@ -277,7 +278,7 @@ class Orclus:
         )
         return self
 
-    def fit_predict(self, X) -> np.ndarray:
+    def fit_predict(self, X: Union[np.ndarray, Dataset]) -> np.ndarray:
         """Run ORCLUS and return the label array."""
         return self.fit(X).result_.labels
 

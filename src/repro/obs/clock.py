@@ -3,7 +3,7 @@
 RPR002 forbids raw clock reads (``time.perf_counter``, ``time.monotonic``,
 wall-clock calls) inside the determinism-scoped directories: a stray
 timestamp feeding a result value silently breaks serial/parallel and
-cached/uncached bit-identity, and scattering clock calls makes that
+cache hit/miss bit-identity, and scattering clock calls makes that
 impossible to audit.  All duration measurement in ``core``/``perf``/
 ``distance`` therefore goes through this one function, which the lint
 rule recognises as the single legal source of monotonic time.

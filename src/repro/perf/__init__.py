@@ -24,7 +24,7 @@ output:
   experiment grids.  The knob's default (``1``) is the exact serial
   code path.
 
-Everything here is exact: cached and uncached paths produce
+Everything here is exact: a cache hit and a recomputation produce
 bit-identical results (enforced by the tier-1 property suite), and so
 do serial and parallel ones.
 """

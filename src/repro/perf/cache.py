@@ -18,11 +18,11 @@ that fully determine it and recomputes only what a swap invalidated.
 Stored columns are read-only and handed out as they are, never copied
 into an ``(N, k)`` matrix.  A new medoid ``m`` reads ``|X - m|`` once,
 in cache-sized row blocks, for its distance column, its locality and
-its statistics row.  Every value is
-the same IEEE computation on the same operands as in the uncached path,
-so results are **bit-identical** — the cache is a pure wall-clock
-optimisation.  ``tests/test_reference_proclus.py`` checks both paths
-against a literal transcription of the paper.
+its statistics row.  A hit hands out the very value a miss would
+compute, so results are **bit-identical** whatever is reused — the
+cache is a pure wall-clock optimisation, and the hill climb always runs
+through it.  ``tests/test_reference_proclus.py`` checks the fit against
+a literal transcription of the paper.
 
 Memory is bounded: every store is an LRU evicting from the cold end
 once the total held bytes exceed the configured budget (default:
@@ -361,7 +361,7 @@ class IterativeCache:
         The remaining misses (retained medoids whose radius changed)
         call the same blocked
         :func:`~repro.distance.matrix.per_dimension_average_distance`
-        the uncached :func:`~repro.core.dimensions.dimension_statistics`
+        the direct :func:`~repro.core.dimensions.dimension_statistics`
         uses, so rows are bit-identical.
         """
         self.bind(X)

@@ -101,6 +101,20 @@ def test_rpr004_covers_rng():
         "type"]
 
 
+def test_rpr004_covers_extensions():
+    # the ORCLUS extension is public API next to proclus()
+    src = ("def orclus(X, k: int) -> int:\n    raise ValueError(k)\n\n"
+           "class Orclus:\n"
+           "    def fit(self, X) -> 'Orclus':\n        return self\n")
+    findings = lint_source(src, "repro/extensions/orclus.py",
+                           select=["RPR004"])
+    assert [f.message for f in findings] == [
+        "public function orclus has unannotated parameter(s): X",
+        "orclus raises builtin ValueError instead of a repro.exceptions "
+        "type",
+        "public function Orclus.fit has unannotated parameter(s): X"]
+
+
 def test_rpr004_covers_data():
     # the dataset readers are where file input enters the library
     src = ("def load_csv(path):\n    raise ValueError(path)\n\n"

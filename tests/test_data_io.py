@@ -1,5 +1,7 @@
 """Unit tests for dataset CSV/NPZ round-trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -172,3 +174,37 @@ class TestNpz:
         path = tmp_path / "blind.npz"
         save_npz(dataset.without_ground_truth(), path)
         assert load_npz(path).labels is None
+
+
+class TestNpzTypedErrors:
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read .*missing.npz"):
+            load_npz(tmp_path / "missing.npz")
+
+    @pytest.mark.parametrize("write", [
+        lambda p: p.write_text("x0,x1\n1,2\n"),
+        lambda p: p.write_bytes(pickle.dumps({"points": [[1.0, 2.0]]})),
+    ], ids=["text", "pickle"])
+    def test_not_an_npz_archive(self, tmp_path, write):
+        p = tmp_path / "bad.npz"
+        write(p)
+        with pytest.raises(DataError, match="as an .npz dataset"):
+            load_npz(p)
+
+    def test_single_npy_array(self, tmp_path):
+        p = tmp_path / "one.npy"
+        np.save(p, np.eye(3))
+        with pytest.raises(DataError, match="as an .npz dataset"):
+            load_npz(p)
+
+    def test_archive_without_points(self, tmp_path):
+        p = tmp_path / "nopoints.npz"
+        np.savez(p, labels=np.zeros(3, dtype=np.int64))
+        with pytest.raises(DataError, match="no 'points' array"):
+            load_npz(p)
+
+    def test_malformed_cluster_dims_json(self, tmp_path):
+        p = tmp_path / "dims.npz"
+        np.savez(p, points=np.eye(3), cluster_dims_json=np.asarray("{"))
+        with pytest.raises(DataError, match="as an .npz dataset"):
+            load_npz(p)

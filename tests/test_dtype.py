@@ -6,10 +6,10 @@ tests here pin the two halves of that contract:
 
 * **float64 is bit-identical to the historical path** — running with
   ``dtype="float64"`` (or not passing ``dtype`` at all) produces the
-  same bits across cache on/off, serial/parallel restarts, and
-  checkpoint/resume;
-* **float32 is deterministic within the dtype** — repeated runs,
-  cached/uncached runs, parallel fan-outs, and resumed runs all agree
+  same bits with and without cache reuse, across serial/parallel
+  restarts, and through checkpoint/resume;
+* **float32 is deterministic within the dtype** — repeated runs, runs
+  with and without cache reuse, parallel fan-outs, and resumed runs agree
   bit-for-bit, and the result round-trips through ``save_result`` /
   ``load_result`` without widening.
 
@@ -43,6 +43,8 @@ from repro.perf.parallel import SharedMatrix
 from repro.robustness.guards import resolve_row_chunk
 from repro.robustness.sanitize import sanitize
 from repro.validation import check_array
+
+from reference.no_reuse import fit_without_reuse
 
 DS = generate(900, 12, 3, cluster_dim_counts=[5, 4, 6],
               outlier_fraction=0.05, seed=21)
@@ -257,10 +259,12 @@ class TestFloat64BitIdentity:
         assert fingerprint(a) == fingerprint(b)
         assert a.medoids.dtype == np.float64
 
-    def test_cache_toggle_is_bit_identical(self):
-        a = proclus(DS.points, K, L, seed=SEED, dtype="float64", cache=True)
-        b = proclus(DS.points, K, L, seed=SEED, dtype="float64", cache=False)
+    def test_cache_toggle_is_bit_identical(self, monkeypatch):
+        a = proclus(DS.points, K, L, seed=SEED, dtype="float64")
+        fit_without_reuse(monkeypatch)
+        b = proclus(DS.points, K, L, seed=SEED, dtype="float64")
         assert fingerprint(a) == fingerprint(b)
+        assert b.cache_stats["distance"]["hits"] == 0
 
     def test_parallel_restarts_match_serial(self):
         a = proclus(DS.points, K, L, seed=SEED, dtype="float64", restarts=3)
@@ -290,10 +294,12 @@ class TestFloat32Determinism:
         assert fingerprint(a) == fingerprint(b)
         assert a.medoids.dtype == np.float32
 
-    def test_cache_toggle_is_bit_identical(self):
-        a = proclus(DS.points, K, L, seed=SEED, dtype="float32", cache=True)
-        b = proclus(DS.points, K, L, seed=SEED, dtype="float32", cache=False)
+    def test_cache_toggle_is_bit_identical(self, monkeypatch):
+        a = proclus(DS.points, K, L, seed=SEED, dtype="float32")
+        fit_without_reuse(monkeypatch)
+        b = proclus(DS.points, K, L, seed=SEED, dtype="float32")
         assert fingerprint(a) == fingerprint(b)
+        assert b.cache_stats["distance"]["hits"] == 0
 
     def test_parallel_restarts_match_serial(self):
         a = proclus(DS.points, K, L, seed=SEED, dtype="float32", restarts=3)

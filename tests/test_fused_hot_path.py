@@ -50,6 +50,7 @@ from repro.exceptions import DataError
 from repro.metrics import projected_objective
 from repro.obs import Tracer, use_tracer
 from repro.perf import IterativeCache
+from repro.perf.cache import select_locality
 from repro.robustness import guards
 
 DTYPES = [np.float64, np.float32]
@@ -138,16 +139,16 @@ def _assert_cache_matches_oracles(cache, X, medoids, metric, min_size):
                     localities=localities, deltas=deltas, cache=cache)
     columns = cache.distance_columns(X, medoids, metric, deltas=deltas,
                                      min_size=min_size)
-    np.testing.assert_array_equal(np.column_stack(columns),
-                                  cross_distances(X, X[medoids], metric))
-    uncached, _ = compute_localities(X, medoids, metric=metric,
-                                     min_locality_size=min_size)
+    full = cross_distances(X, X[medoids], metric)
+    np.testing.assert_array_equal(np.column_stack(columns), full)
     misses = cache.stats["stats"].misses
     stored = cache.dimension_stats(X, medoids, localities, deltas, min_size,
                                    metric)
     assert cache.stats["stats"].misses == misses  # every row was stored
     for i, row in enumerate(medoids):
-        np.testing.assert_array_equal(localities[i], uncached[i])
+        np.testing.assert_array_equal(
+            localities[i], select_locality(full[:, i], deltas[i], row,
+                                           min_size))
         np.testing.assert_array_equal(
             stored[i], per_dimension_average_distance(X[localities[i]], X[row]))
     return localities, deltas

@@ -4,7 +4,7 @@ Covers the tracer/counters machinery, the JSONL schema validator, the
 profile report plumbing through ``proclus`` and serialization, the CLI
 flags, and — most importantly — the contract that tracing must not
 perturb results: runs with tracing on are bit-identical to runs with
-tracing off, across cache/parallel/restart configurations.
+tracing off, across metric/parallel/restart configurations.
 """
 
 import json
@@ -279,8 +279,7 @@ class TestProfilePlumbing:
         json.dumps(profile)  # JSON-safe by construction
 
     def test_cache_counters_present_when_caching(self, small_dataset):
-        result = proclus(small_dataset.points, 2, 3, seed=4, profile=True,
-                         cache=True)
+        result = proclus(small_dataset.points, 2, 3, seed=4, profile=True)
         counters = result.profile["counters"]
         assert counters["cache.segmental_served"] > 0
 
@@ -321,11 +320,9 @@ class TestTracingBitIdentity:
 
     CONFIGS = [
         dict(),
-        dict(cache=False),
         dict(metric="manhattan"),
         dict(restarts=3),
         dict(restarts=3, n_jobs=2),
-        dict(restarts=2, n_jobs=2, cache=False),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS,

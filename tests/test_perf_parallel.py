@@ -111,13 +111,13 @@ class TestRestartBitIdentity:
                            metric=metric, n_jobs=2, **FAST)
         assert _fingerprint(serial) == _fingerprint(parallel)
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_across_cache_settings(self, workload, cache):
-        serial = proclus(workload.points, 3, 3, seed=11, restarts=3,
-                         cache=cache, **FAST)
+    def test_winner_cache_stats(self, workload):
+        # the winner's cache counters cross the pool with its result
+        serial = proclus(workload.points, 3, 3, seed=11, restarts=3, **FAST)
         parallel = proclus(workload.points, 3, 3, seed=11, restarts=3,
-                           cache=cache, n_jobs=2, **FAST)
+                           n_jobs=2, **FAST)
         assert _fingerprint(serial) == _fingerprint(parallel)
+        assert parallel.cache_stats == serial.cache_stats
 
     def test_generous_deadline(self, workload):
         """A budget that never expires must not perturb anything."""

@@ -2,9 +2,9 @@
 
 The load-bearing contract is **fit/predict bit-identity**: running the
 training matrix back through ``predict`` must reproduce
-``result.labels`` exactly — across working dtypes, cache on/off,
-serial/parallel fits, chunk sizes, and a save/load round-trip — because
-the predict path *is* the refinement phase's assignment rule.
+``result.labels`` exactly — across working dtypes, serial/parallel
+fits, chunk sizes, and a save/load round-trip — because the predict
+path *is* the refinement phase's assignment rule.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class TestTrainingSetBitIdentity:
         ds = tiny_projected_dataset_module
         result = proclus(ds.points, 3, 4.0, seed=99, dtype="float32")
         assert result.medoids.dtype == np.float32
-        assert np.array_equal(result.predict(ds.points), result.labels)
-
-    def test_cache_off(self, tiny_projected_dataset_module):
-        ds = tiny_projected_dataset_module
-        result = proclus(ds.points, 3, 4.0, seed=99, cache=False)
         assert np.array_equal(result.predict(ds.points), result.labels)
 
     def test_parallel_fit(self, tiny_projected_dataset_module):

@@ -120,7 +120,7 @@ def test_fuzz_never_starts_a_pool():
 def test_estimator_forwards_every_keyword():
     kwargs = dict(restarts=2, fit_sample_size=300, dtype="float32",
                   handle_outliers=False, min_deviation=0.2,
-                  max_bad_tries=4, cache=False, seed=3)
+                  max_bad_tries=4, profile=True, seed=3)
     est = Proclus(3, 3, **kwargs).fit(DS.points)
     ref = proclus(DS.points, 3, 3, **kwargs)
     got = est.result_
@@ -130,7 +130,7 @@ def test_estimator_forwards_every_keyword():
     assert got.dimensions == ref.dimensions
     assert got.objective == ref.objective
     assert got.objective_history == ref.objective_history
-    assert got.cache_stats is None and ref.cache_stats is None
+    assert got.profile is not None and ref.profile is not None
     assert (got.labels >= 0).all()  # handle_outliers=False reached the fit
 
 

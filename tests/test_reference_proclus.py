@@ -4,8 +4,8 @@
 step.  On integer-valued data every distance, locality statistic and
 segmental distance is an exact sum followed by at most one rounding, so
 ``proclus(..., restarts=1)`` must reproduce the reference's medoids,
-dimension sets, labels (outliers included) and stopping reason exactly,
-for the cache on and off.  The objective is a mean of inexact terms that
+dimension sets, labels (outliers included) and stopping reason exactly.
+The objective is a mean of inexact terms that
 each side sums in its own order, so it is compared to 1e-12 relative.
 
 The metamorphic test needs no oracle: listing the dimensions in another
@@ -56,16 +56,16 @@ def workloads(draw, spreads=(3, 20, 1000)):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@given(workload=workloads(), cache=st.booleans(),
+@given(workload=workloads(),
        # the paper's 0.1 rarely marks more than the smallest cluster bad
        min_deviation=st.sampled_from([0.1, 0.7]))
 @settings(max_examples=20, deadline=None)
-def test_fit_matches_reference(metric, workload, cache, min_deviation):
+def test_fit_matches_reference(metric, workload, min_deviation):
     X, k, l, seed = workload
     ref = proclus_reference(X, k, l, seed=seed, metric=metric,
                             min_deviation=min_deviation)
     got = proclus(X, k, l, seed=seed, metric=metric, restarts=1,
-                  min_deviation=min_deviation, cache=cache)
+                  min_deviation=min_deviation)
     np.testing.assert_array_equal(got.medoid_indices, ref.medoid_indices)
     assert [got.dimensions[i] for i in range(k)] == ref.dimensions
     np.testing.assert_array_equal(got.labels, ref.labels)

@@ -235,7 +235,7 @@ class TestSharedMatrixGuards:
 FIT_KWARGS = dict(
     k=3, l=3, sample_factor=30, pool_factor=5, min_deviation=0.1,
     metric="euclidean", handle_outliers=True,
-    fit_sample_size=None, exclude_dims=(), cache=True, dtype="float64",
+    fit_sample_size=None, exclude_dims=(), dtype="float64",
     **FAST,
 )
 
