@@ -273,10 +273,10 @@ def find_dimensions_from_clusters(X: np.ndarray, labels: np.ndarray,
         if members.size == 0:
             empty_rows.append(i)
             # placeholder: nearest 2 points in full space.  Routed
-            # through the budget-honouring segmental kernel (mean over
-            # all d dimensions = full Manhattan sum / d, and dividing
-            # by the same positive constant preserves the nearest-2
-            # ordering) instead of materialising an unbudgeted
+            # through the row-blocked segmental kernel (mean over all
+            # d dimensions = full Manhattan sum / d, and dividing by
+            # the same positive constant preserves the nearest-2
+            # ordering) instead of materialising a whole-matrix
             # |X - medoid| temporary.
             dist = segmental_distances_to_point(
                 X, X[medoid_indices[i]], np.arange(X.shape[1])

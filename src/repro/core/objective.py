@@ -34,8 +34,7 @@ import numpy as np
 from ..data.dataset import OUTLIER_LABEL
 from ..dtypes import as_working
 from ..exceptions import ParameterError
-from ..robustness.guards import (PASS_BLOCK_BYTES, resolve_row_chunk,
-                                 row_block_size)
+from ..robustness.guards import PASS_BLOCK_BYTES, row_block_size
 from ..validation import check_array
 
 __all__ = ["evaluate_clusters", "cluster_dispersions",
@@ -46,11 +45,14 @@ def column_major(X: np.ndarray) -> Optional[np.ndarray]:
     """``X`` as a C-ordered ``(d, N)`` copy, or ``None`` over budget.
 
     The copy is made only when ``N * d`` entries pass the memory budget
-    test of :func:`~repro.robustness.guards.resolve_row_chunk`; over
-    budget the dispersions gather from ``X`` itself.
+    test of :func:`~repro.robustness.guards.row_block_size`: taken as
+    one-entry rows, they fit in a single block.  Over budget the
+    dispersions gather from ``X`` itself.
     """
     n, d = X.shape
-    if resolve_row_chunk(n, d, itemsize=X.dtype.itemsize) is not None:
+    entries = n * d
+    if row_block_size(entries, 1, 1, X.dtype.itemsize,
+                      block_bytes=entries * X.dtype.itemsize) < entries:
         return None
     Xc = np.empty((d, n), dtype=X.dtype)
     # transposed in L2-sized blocks: about 4x faster than

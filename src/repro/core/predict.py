@@ -30,7 +30,8 @@ fitted working dtype.
 **One pass per row block.**  :meth:`FittedModel.predict` walks the batch in
 equal row blocks sized by the segmental kernel's own rule
 (:func:`~repro.robustness.guards.row_block_size`), so every
-``segmental_columns`` call runs exactly one kernel block.  Each block
+``segmental_columns`` call runs exactly one kernel block (under a
+budget at most the default).  Each block
 is checked for NaN/inf (under ``on_bad_values="raise"``), gets its
 ``k`` distance columns in a reused scratch, and is labelled by the
 nearest-medoid scan and the outlier test while those columns are still
@@ -297,8 +298,9 @@ class FittedModel:
             Never changes the output bits; bounds memory and sets the
             deadline polling granularity.
         memory_budget_bytes:
-            Forwarded to the segmental kernel's internal row-chunking
-            guard.
+            Caps the kernel temporaries of one row block (default:
+            :data:`~repro.robustness.guards.DEFAULT_MEMORY_BUDGET_BYTES`);
+            a smaller budget means smaller blocks.
         deadline:
             Optional wall-clock budget.  Expiry *between* blocks
             discards the partial batch and raises
@@ -375,7 +377,6 @@ class FittedModel:
                 at = start if return_distances else 0
                 block_dist = segmental_columns(
                     block, self.medoids, self.dim_sets,
-                    memory_budget_bytes=memory_budget_bytes,
                     out=dist[at:at + rows], layout=self.layout,
                 )
                 # the block's k columns are still in cache for both scans

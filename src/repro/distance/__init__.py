@@ -8,8 +8,13 @@ The paper works with three families of distances:
 * the **Manhattan segmental distance** — the paper's central metric: the
   Manhattan distance restricted to a dimension subset ``D`` and normalised
   by ``|D|`` so clusters with different dimensionalities are comparable;
-* **pairwise kernels** over point sets (``cdist``-style), vectorised with
-  numpy for the batch operations the algorithms need.
+* **batch kernels** from a point set to a few anchors (``cdist``-style),
+  vectorised with numpy and walked in cache-sized row blocks.
+
+The scalar helpers (:func:`manhattan`, :func:`euclidean`, ...) and the
+:class:`Metric` registry serve the metric names and instances
+:func:`repro.proclus` accepts.  The fit's own segmental distances come
+from :func:`repro.perf.kernels.segmental_columns`.
 """
 
 from .base import Metric, get_metric, register_metric, available_metrics
@@ -23,18 +28,8 @@ from .lp import (
     lp_distance,
     manhattan,
 )
-from .matrix import (
-    cross_distances,
-    distances_to_point,
-    pairwise_distances,
-    per_dimension_average_distance,
-)
-from .segmental import (
-    ManhattanSegmentalDistance,
-    pairwise_segmental,
-    segmental_distance,
-    segmental_distances_to_point,
-)
+from .matrix import cross_distances, per_dimension_average_distance
+from .segmental import segmental_distances_to_point
 
 __all__ = [
     "Metric",
@@ -49,12 +44,7 @@ __all__ = [
     "euclidean",
     "lp_distance",
     "chebyshev",
-    "ManhattanSegmentalDistance",
-    "segmental_distance",
     "segmental_distances_to_point",
-    "pairwise_segmental",
-    "pairwise_distances",
     "cross_distances",
-    "distances_to_point",
     "per_dimension_average_distance",
 ]

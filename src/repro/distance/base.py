@@ -30,8 +30,12 @@ class Metric(abc.ABC):
 
     Subclasses implement :meth:`reduce_rows`; the batch form
     :meth:`pairwise_to_point` and the scalar form :meth:`__call__` are
-    derived from it (a metric that reads only some columns may override
-    :meth:`pairwise_to_point` to skip the full ``(n, d)`` block).  All
+    derived from it.  A metric that reads only some columns may override
+    :meth:`pairwise_to_point` to skip the full ``|X - p|`` block;
+    :func:`~repro.distance.matrix.cross_distances` hands it one
+    cache-sized row block at a time.  The override must agree with
+    :meth:`reduce_rows`, which is all the hill climb's fused pass
+    (:func:`~repro.distance.matrix.distances_and_locality`) calls.  All
     inputs are float arrays — callers validate shape/dtype once at the
     public API boundary.
     """

@@ -3,13 +3,10 @@
 These helpers are the numpy workhorses behind the algorithms: the greedy
 farthest-point selection, CLARANS, locality analysis, and cluster
 evaluation all reduce to "distances from a block of points to one or a
-few anchors".  Memory is kept linear in ``n`` by iterating over the
-(small) anchor set rather than materialising 3-D broadcast temporaries.
-
-When even the per-anchor ``O(n * d)`` temporaries would exceed the
-memory budget (see :mod:`repro.robustness.guards`), the kernels fall
-back to row-chunked computation: identical values, peak memory bounded
-by the budget.
+few anchors".  Every kernel walks ``X`` in the cache-sized row blocks of
+:func:`repro.robustness.guards.row_block_size`, so its temporaries span
+one block, never the whole ``(n, d)`` matrix.  Rows are independent, so
+the values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,62 +15,40 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..dtypes import as_working, to_float64
+from ..dtypes import as_working
 from ..obs import get_tracer
-from ..robustness.guards import (PASS_BLOCK_BYTES, resolve_row_chunk,
-                                 row_block_size)
+from ..robustness.guards import PASS_BLOCK_BYTES, row_block_size
 from .base import Metric, get_metric
 
 __all__ = [
-    "distances_to_point",
     "cross_distances",
     "distances_and_locality",
-    "pairwise_distances",
     "per_dimension_average_distance",
 ]
 
 MetricLike = Union[str, Metric]
 
 
-def distances_to_point(X: np.ndarray, p, metric: MetricLike = "euclidean") -> np.ndarray:
-    """Distances from every row of ``X`` (n, d) to a single point ``p``.
-
-    Computes natively in ``X``'s working dtype (float32 stays float32);
-    non-float input is coerced to float64 (see :mod:`repro.dtypes`).
-    """
-    m = get_metric(metric)
-    X = as_working(X)
-    p = np.asarray(p, dtype=X.dtype).ravel()
-    return m.pairwise_to_point(X, p)
-
-
 def cross_distances(X: np.ndarray, anchors: np.ndarray,
-                    metric: MetricLike = "euclidean", *,
-                    memory_budget_bytes: Optional[int] = None) -> np.ndarray:
+                    metric: MetricLike = "euclidean") -> np.ndarray:
     """Matrix of shape ``(n, m)``: distance from each row of ``X`` to each anchor.
 
-    ``anchors`` is expected to be small (medoid sets); the loop over
-    anchors keeps peak memory at ``O(n)`` per column.  When the per-anchor
-    temporaries would exceed ``memory_budget_bytes`` (default:
-    :data:`repro.robustness.guards.DEFAULT_MEMORY_BUDGET_BYTES`), rows
-    are processed in chunks instead — same values, bounded peak memory.
+    ``anchors`` is expected to be small (medoid sets).  Rows are walked
+    in the cache-sized blocks of :func:`_block_rows`, and every anchor's
+    column is filled from a block while it is in cache: peak memory is
+    one block's temporaries, and the values equal a whole-matrix pass
+    per anchor.
     """
     m = get_metric(metric)
     X = as_working(X)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=X.dtype))
-    n = X.shape[0]
     _count_distance_work(X, anchors.shape[0])
-    out = np.empty((n, anchors.shape[0]), dtype=X.dtype)
-    chunk = resolve_row_chunk(n, X.shape[1], memory_budget_bytes,
-                              itemsize=X.dtype.itemsize)
-    if chunk is None:
+    out = np.empty((X.shape[0], anchors.shape[0]), dtype=X.dtype)
+    step = _block_rows(X)
+    for start in range(0, X.shape[0], step):
+        block = X[start:start + step]
         for j, a in enumerate(anchors):
-            out[:, j] = m.pairwise_to_point(X, a)
-        return out
-    for start in range(0, n, chunk):
-        block = X[start:start + chunk]
-        for j, a in enumerate(anchors):
-            out[start:start + chunk, j] = m.pairwise_to_point(block, a)
+            out[start:start + step, j] = m.pairwise_to_point(block, a)
     return out
 
 
@@ -135,49 +110,15 @@ def _count_distance_work(X: np.ndarray, n_anchors: int) -> None:
                      * X.dtype.itemsize)
 
 
-def pairwise_distances(X: np.ndarray, metric: MetricLike = "euclidean", *,
-                       memory_budget_bytes: Optional[int] = None) -> np.ndarray:
-    """Symmetric ``(n, n)`` distance matrix among the rows of ``X``.
-
-    The metric is assumed symmetric (every registered metric is), so
-    only the lower triangle (diagonal included) is computed and the
-    upper triangle is mirrored — half the work of the naive
-    anchors-times-rows product, with identical values.  The row-chunk
-    memory budget applies per anchor column, as in
-    :func:`cross_distances`.
-    """
-    m = get_metric(metric)
-    X = as_working(X)
-    n = X.shape[0]
-    out = np.empty((n, n), dtype=X.dtype)
-    chunk = resolve_row_chunk(n, X.shape[1], memory_budget_bytes,
-                              itemsize=X.dtype.itemsize)
-
-    for i in range(n):
-        block = X[i:]
-        if chunk is None:
-            col = m.pairwise_to_point(block, X[i])
-        else:
-            col = np.empty(n - i, dtype=X.dtype)
-            for start in range(0, block.shape[0], chunk):
-                col[start:start + chunk] = m.pairwise_to_point(
-                    block[start:start + chunk], X[i]
-                )
-        out[i:, i] = col
-        out[i, i:] = col
-    return out
-
-
-def per_dimension_average_distance(X: np.ndarray, p,
-                                   weights: Optional[np.ndarray] = None, *,
+def per_dimension_average_distance(X: np.ndarray, p, *,
                                    rows: Optional[np.ndarray] = None,
                                    ) -> np.ndarray:
     """Average absolute distance along each dimension from rows of ``X`` to ``p``.
 
     This is the quantity ``X_{i,j}`` in the paper's ``FindDimensions``:
     the mean of ``|x_j - p_j|`` over the points ``x`` in a locality (or
-    cluster): the rows of ``X``, or ``X[rows]`` when ``rows`` is given.
-    ``weights`` allows a weighted mean; no points raise ``ValueError``
+    cluster): the rows of ``X``, or ``X[rows]`` when ``rows`` is given
+    (a row listed twice counts twice).  No points raise ``ValueError``
     — callers guard against empty localities explicitly.
 
     Accumulation policy: the gather/diff runs in ``X``'s working dtype
@@ -187,7 +128,7 @@ def per_dimension_average_distance(X: np.ndarray, p,
     argsort decides dimension allocation, and a long float32 reduction
     could flip that ranking between otherwise-identical runs.
 
-    The unweighted mean runs in cache-sized row blocks: member rows are
+    The mean runs in cache-sized row blocks: member rows are
     gathered into a reused scratch, the tiled ``p`` is subtracted and
     ``abs`` taken in place, and the rows are summed in the order of one
     axis-0 reduction over all of them (see :class:`_RowMean`), so the
@@ -198,14 +139,11 @@ def per_dimension_average_distance(X: np.ndarray, p,
     if X.ndim != 2 or (X.shape[0] if rows is None else len(rows)) == 0:
         raise ValueError("per_dimension_average_distance needs a non-empty 2-D array")
     p = np.asarray(p, dtype=X.dtype).ravel()
-    if weights is not None or X.shape[1] == 1:
-        # one reduction over the whole (count, d) block: a single
+    if X.shape[1] == 1:
+        # one reduction over the whole (count, 1) block: a single
         # column is summed pairwise, not row by row (see _RowMean)
         diffs = np.abs((X if rows is None else X[rows]) - p)
-        if weights is None:
-            return diffs.mean(axis=0, dtype=np.float64)
-        weights = to_float64(weights)
-        return (diffs * weights[:, None]).sum(axis=0, dtype=np.float64) / weights.sum()
+        return diffs.mean(axis=0, dtype=np.float64)
     count = X.shape[0] if rows is None else len(rows)
     step = _block_rows(X, count)
     tile = np.tile(p, (step, 1))
@@ -228,7 +166,8 @@ def _block_rows(X: np.ndarray, n: Optional[int] = None) -> int:
     dtype, the float64 statistics buffer and, for a narrower dtype, the
     statistics' gather scratch: at most ``5 * d * itemsize`` bytes a
     row, within what the memory budget test charges for
-    ``(3 * d, rows)`` temporaries.
+    ``(3 * d, rows)`` temporaries.  (:func:`cross_distances` holds
+    fewer: a diff and its elementwise transform.)
     """
     d = X.shape[1]
     return row_block_size(X.shape[0] if n is None else n, d, 3 * d,

@@ -11,68 +11,87 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..core.objective import evaluate_clusters
 from ..data.dataset import OUTLIER_LABEL
 from ..distance.segmental import segmental_distances_to_point
-from ..exceptions import DataError
-from ..validation import check_array
+from ..exceptions import DataError, ParameterError
+from ..validation import (check_array, check_dimension_subset,
+                          check_same_length)
 
 __all__ = ["projected_objective", "segmental_silhouette"]
 
 
+def _dim_sets(dimensions: Mapping[int, Sequence[int]], ids: Iterable[int],
+              n_dims: int) -> List[Tuple[int, ...]]:
+    """``dimensions[i]`` for each cluster id ``i``, in its given order.
+
+    A missing id, an empty set or an index outside ``[0, n_dims - 1]``
+    raises :class:`~repro.exceptions.ParameterError`.
+    """
+    dim_sets = []
+    for cid in ids:
+        if cid not in dimensions:
+            raise ParameterError(f"dimensions has no entry for cluster {cid}")
+        dims = tuple(dimensions[cid])
+        check_dimension_subset(dims, n_dims, name=f"dimensions[{cid}]")
+        dim_sets.append(dims)
+    return dim_sets
+
+
 def projected_objective(X, labels, dimensions: Mapping[int, Sequence[int]]) -> float:
-    """The paper's objective for any labeling + dimension assignment."""
+    """The paper's objective for any labeling + dimension assignment.
+
+    ``dimensions`` maps every cluster id ``0..max id`` to its dimension
+    set; a gap, an empty set or an index outside ``X``'s columns raises
+    :class:`~repro.exceptions.ParameterError`, and ``labels`` of another
+    length than ``X`` raise :class:`~repro.exceptions.DataError`.
+    """
     X = check_array(X, name="X")
+    check_same_length(X, labels, names=("X", "labels"))
     k = (max(dimensions) + 1) if dimensions else 0
-    dim_sets = [tuple(dimensions[i]) for i in range(k)]
-    return evaluate_clusters(X, labels, dim_sets)
+    return evaluate_clusters(X, labels, _dim_sets(dimensions, range(k),
+                                                  X.shape[1]))
 
 
 def segmental_silhouette(X, labels, dimensions: Mapping[int, Sequence[int]]) -> float:
     """Mean silhouette in the per-cluster subspaces; in [-1, 1].
 
     Outlier-labelled points are ignored.  Clusters with a single member
-    contribute silhouette 0 (the standard convention).
+    contribute silhouette 0 (the standard convention).  Every cluster
+    id in ``labels`` needs a dimension set in ``dimensions``; a missing
+    one, an empty one or an index outside ``X``'s columns raises
+    :class:`~repro.exceptions.ParameterError`, and ``labels`` of another
+    length than ``X`` raise :class:`~repro.exceptions.DataError`.
     """
     X = check_array(X, name="X")
     labels = np.asarray(labels)
+    check_same_length(X, labels, names=("X", "labels"))
     ids = sorted(int(i) for i in np.unique(labels) if i != OUTLIER_LABEL)
     if len(ids) < 2:
         raise DataError("segmental silhouette needs at least 2 clusters")
-
-    centroids = {}
-    for cid in ids:
-        members = labels == cid
-        if not members.any():
-            continue
-        centroids[cid] = X[members].mean(axis=0)
+    dim_sets = _dim_sets(dimensions, ids, X.shape[1])
 
     # distance of every point to every cluster's centroid in that
     # cluster's own dimensions
-    dist = np.full((X.shape[0], len(ids)), np.inf)
-    for col, cid in enumerate(ids):
-        if cid not in centroids:
-            continue
-        dims = tuple(dimensions[cid])
-        dist[:, col] = segmental_distances_to_point(X, centroids[cid], dims)
+    dist = np.empty((X.shape[0], len(ids)))
+    for col, (cid, dims) in enumerate(zip(ids, dim_sets)):
+        centroid = X[labels == cid].mean(axis=0)
+        dist[:, col] = segmental_distances_to_point(X, centroid, dims)
 
     scores = []
-    col_of = {cid: col for col, cid in enumerate(ids)}
-    for cid in ids:
+    for col, cid in enumerate(ids):
         members = np.flatnonzero(labels == cid)
-        if members.size == 0:
-            continue
         if members.size == 1:
             scores.append(0.0)
             continue
-        a = dist[members, col_of[cid]]
-        other_cols = [col_of[c] for c in ids if c != cid]
+        a = dist[members, col]
+        other_cols = [c for c in range(len(ids)) if c != col]
         b = dist[members][:, other_cols].min(axis=1)
         denom = np.maximum(a, b)
         s = np.where(denom > 0, (b - a) / denom, 0.0)
         scores.extend(s.tolist())
-    return float(np.mean(scores)) if scores else 0.0
+    return float(np.mean(scores))

@@ -155,7 +155,6 @@ def _sum_rows_like_reduceat(rows: np.ndarray) -> np.ndarray:
 
 def segmental_columns(X: np.ndarray, medoids: np.ndarray,
                       dim_sets: Sequence[Sequence[int]], *,
-                      memory_budget_bytes: Optional[int] = None,
                       out: Optional[np.ndarray] = None,
                       layout: Optional[SegmentalLayout] = None,
                       ) -> np.ndarray:
@@ -166,7 +165,7 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
     matrix is column-major (each column contiguous).  Rows are processed
     in the blocks :func:`row_block_size` sets: about 1 MiB of
     ``X``, fewer rows when the ``(sum|D_i|, rows)`` temporaries would
-    exceed ``memory_budget_bytes`` — identical values, bounded peak
+    exceed the default memory budget — identical values, bounded peak
     memory.
 
     The kernel computes natively in ``X``'s working dtype (float32 in,
@@ -217,8 +216,7 @@ def segmental_columns(X: np.ndarray, medoids: np.ndarray,
                 f"out has dtype {out.dtype.name}; expected the working "
                 f"dtype {X.dtype.name}"
             )
-    step = row_block_size(n, X.shape[1], flat.size, X.dtype.itemsize,
-                          memory_budget_bytes=memory_budget_bytes)
+    step = row_block_size(n, X.shape[1], flat.size, X.dtype.itemsize)
     for start in range(0, n, step):
         diffs = X[start:start + step].T[flat]
         diffs -= centres

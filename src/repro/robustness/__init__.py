@@ -8,7 +8,8 @@ parts:
   results back to original row indices;
 * :mod:`~repro.robustness.guards` — runtime budget guards: the
   :class:`Deadline` wall-clock budget honoured by the hill climbing, and
-  the memory-estimate guard behind row-chunked distance kernels;
+  :func:`~repro.robustness.guards.row_block_size`, the one row-blocking
+  policy of the distance kernels, bounded by a memory budget;
 * :mod:`~repro.robustness.fallback` — the degradation ladder for
   degenerate inputs (:func:`plan_degradation`,
   :func:`kmedoids_fallback`);
@@ -49,12 +50,7 @@ from .fallback import (
     kmedoids_fallback,
     plan_degradation,
 )
-from .guards import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    Deadline,
-    estimate_cross_distance_temp_bytes,
-    resolve_row_chunk,
-)
+from .guards import DEFAULT_MEMORY_BUDGET_BYTES, Deadline
 from .sanitize import BAD_VALUE_POLICIES, SanitizationReport, sanitize
 from .supervisor import (
     RunCheckpoint,
@@ -76,8 +72,6 @@ __all__ = [
     "BAD_VALUE_POLICIES",
     "Deadline",
     "DEFAULT_MEMORY_BUDGET_BYTES",
-    "estimate_cross_distance_temp_bytes",
-    "resolve_row_chunk",
     "DegradationPlan",
     "plan_degradation",
     "distinct_row_count",

@@ -8,13 +8,12 @@ Two production concerns the paper never had to face:
   a wall-clock budget through the pipeline; ``run_iterative_phase``
   polls it each iteration and terminates with
   ``terminated_by="deadline"`` instead of raising.
-* **Memory** — distance kernels materialise ``O(n * d)`` temporaries per
-  anchor.  :func:`resolve_row_chunk` estimates that footprint and tells
-  :mod:`repro.distance.matrix` to fall back to row-chunked computation
-  past a threshold, keeping peak memory bounded without changing any
-  numeric result.  :func:`row_block_size` sizes the cache-blocked
-  passes (the segmental kernel, predict, the fit's ``|X - m|`` passes)
-  within that budget.
+* **Memory** — every pass over the rows of ``X`` (the distance
+  kernels, predict, the fit's ``|X - m|`` passes) walks cache-sized row
+  blocks from :func:`row_block_size`, the one blocking policy: a block
+  spans a few hundred KiB to 1 MiB of ``X``, and fewer rows when its
+  temporaries would pass a memory budget (64 MiB by default), so peak
+  memory stays bounded without changing any numeric result.
 
 This module deliberately imports nothing beyond numpy and the exception
 hierarchy so every other layer (including :mod:`repro.distance`) can
@@ -34,16 +33,14 @@ from ..validation import check_time_budget
 __all__ = [
     "Deadline",
     "DEFAULT_MEMORY_BUDGET_BYTES",
-    "estimate_cross_distance_temp_bytes",
-    "resolve_row_chunk",
     "row_block_size",
     "PASS_BLOCK_BYTES",
     "ROW_BLOCK_BYTES",
 ]
 
-#: Soft cap on per-call temporary allocations in the distance kernels.
-#: Past this, :func:`repro.distance.matrix.cross_distances` switches to
-#: row-chunked computation (identical values, bounded peak memory).
+#: Soft cap on the temporaries of one :func:`row_block_size` block, and
+#: on the column-major copy :func:`repro.core.objective.column_major`
+#: makes (identical values, bounded peak memory).
 DEFAULT_MEMORY_BUDGET_BYTES: int = 64 * 2**20
 
 #: Bytes of ``X`` one block of :func:`row_block_size` spans by default.
@@ -107,38 +104,6 @@ class Deadline:
             )
 
 
-def estimate_cross_distance_temp_bytes(n_rows: int, n_cols: int,
-                                       itemsize: int = 8) -> int:
-    """Peak temporary bytes for one anchor pass over an ``(n, d)`` block.
-
-    The Lp kernels allocate a diff array and its elementwise transform —
-    two temporaries of the block's shape in the working dtype
-    (``itemsize`` bytes per element; 8 for the float64 default, 4 when
-    the kernel runs in float32).
-    """
-    return int(n_rows) * max(1, int(n_cols)) * max(1, int(itemsize)) * 2
-
-
-def resolve_row_chunk(n_rows: int, n_cols: int,
-                      memory_budget_bytes: Optional[int] = None, *,
-                      itemsize: int = 8) -> Optional[int]:
-    """Rows per chunk to keep distance temporaries under budget.
-
-    Returns ``None`` when the whole block fits (the caller should use its
-    unchunked fast path), otherwise the largest row count whose
-    temporaries stay within ``memory_budget_bytes`` (at least 1).
-    ``itemsize`` is the working dtype's element size — a float32 kernel
-    (4-byte items) fits twice the rows of a float64 one in the same
-    budget.
-    """
-    budget = (DEFAULT_MEMORY_BUDGET_BYTES if memory_budget_bytes is None
-              else int(memory_budget_bytes))
-    if estimate_cross_distance_temp_bytes(n_rows, n_cols, itemsize) <= budget:
-        return None
-    per_row = estimate_cross_distance_temp_bytes(1, n_cols, itemsize)
-    return max(1, budget // per_row)
-
-
 def row_block_size(n: int, d: int, n_selected: int, itemsize: int, *,
                    memory_budget_bytes: Optional[int] = None,
                    cap: Optional[int] = None,
@@ -148,20 +113,23 @@ def row_block_size(n: int, d: int, n_selected: int, itemsize: int, *,
     A block spans about ``block_bytes`` of an ``(n, d)`` matrix with
     ``itemsize``-byte entries, fewer rows when the block's
     ``(n_selected, rows)`` temporaries would exceed
-    ``memory_budget_bytes`` (see :func:`resolve_row_chunk`), and at
-    most ``cap`` rows.  The ``n`` rows are then split into equal
+    ``memory_budget_bytes`` (default: :data:`DEFAULT_MEMORY_BUDGET_BYTES`),
+    and at most ``cap`` rows.  The ``n`` rows are then split into equal
     blocks, so no short tail block pays the per-block call overhead for
     a handful of rows.  Fed back in as ``n`` (other arguments
-    unchanged, ``cap`` aside), the result is one block: a caller
-    walking rows in blocks of this size runs
-    :func:`repro.perf.kernels.segmental_columns` as one kernel block
-    per call.
+    unchanged, ``cap`` aside, or with a larger budget), the result is
+    one block: predict's blocks, sized under at most the default
+    budget, each run :func:`repro.perf.kernels.segmental_columns` as
+    one kernel block.
     """
     step = max(1, block_bytes // (max(1, d) * itemsize))
-    chunk = resolve_row_chunk(n, n_selected, memory_budget_bytes,
-                              itemsize=itemsize)
-    if chunk is not None:
-        step = min(step, chunk)
+    budget = (DEFAULT_MEMORY_BUDGET_BYTES if memory_budget_bytes is None
+              else int(memory_budget_bytes))
+    # a diff array and its elementwise transform: two entries per
+    # selected column and row
+    per_row = max(1, int(n_selected)) * max(1, int(itemsize)) * 2
+    if int(n) * per_row > budget:
+        step = min(step, max(1, budget // per_row))
     if cap is not None:
         step = min(step, cap)
     n_blocks = max(1, -(-n // step))

@@ -6,14 +6,13 @@ import pytest
 from repro.distance import (
     available_metrics,
     cross_distances,
-    distances_to_point,
     get_metric,
-    pairwise_distances,
     per_dimension_average_distance,
     register_metric,
 )
 from repro.distance.base import Metric
 from repro.exceptions import ParameterError
+from repro.robustness import guards
 
 
 class TestRegistry:
@@ -60,7 +59,7 @@ class TestRegistry:
 class TestKernels:
     def test_distances_to_point(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = distances_to_point(X, [0.0, 0.0], "euclidean")
+        d = cross_distances(X, [0.0, 0.0], "euclidean")[:, 0]
         assert np.allclose(d, [0.0, 5.0])
 
     def test_cross_shape_and_values(self):
@@ -74,27 +73,31 @@ class TestKernels:
     def test_pairwise_symmetric(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 3))
-        m = pairwise_distances(X, "euclidean")
+        m = cross_distances(X, X, "euclidean")
         assert np.allclose(m, m.T)
         assert np.allclose(np.diag(m), 0.0)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     def test_pairwise_triangular_matches_naive(self, metric):
-        # pairwise_distances computes the lower triangle and mirrors;
-        # |x-y| and (x-y)^2 are symmetric per dimension, so it must
-        # equal the full N x N cross computation bit for bit
+        # |x-y| and (x-y)^2 are symmetric per dimension, so the lower
+        # triangle of the N x N matrix mirrors the upper one bit for
+        # bit, and both equal one numpy expression per pair
         rng = np.random.default_rng(8)
         X = rng.normal(size=(37, 5))
-        naive = cross_distances(X, X, metric)
-        assert np.array_equal(pairwise_distances(X, metric), naive)
+        m = cross_distances(X, X, metric)
+        assert np.array_equal(m, m.T)
+        diff = np.abs(X[:, None, :] - X[None, :, :])
+        naive = (np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+                 if metric == "euclidean" else diff.sum(axis=2))
+        np.testing.assert_allclose(m, naive, rtol=1e-12, atol=1e-12)
 
-    def test_pairwise_chunked_matches_naive(self):
+    def test_pairwise_chunked_matches_naive(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(200, 4))
         naive = cross_distances(X, X, "euclidean")
-        chunked = pairwise_distances(X, "euclidean",
-                                     memory_budget_bytes=1024)
-        assert np.array_equal(chunked, naive)
+        # a 1 KiB budget walks the rows in blocks of 5
+        monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 1024)
+        assert np.array_equal(cross_distances(X, X, "euclidean"), naive)
 
     def test_single_anchor_promoted(self):
         X = np.zeros((3, 2))
@@ -111,10 +114,11 @@ class TestPerDimensionAverage:
         assert np.allclose(avg, [2.0, 0.0])
 
     def test_weighted(self):
-        X = np.array([[0.0], [10.0]])
-        p = np.array([0.0])
-        avg = per_dimension_average_distance(X, p, weights=np.array([3.0, 1.0]))
-        assert avg[0] == pytest.approx(2.5)
+        # integer weights 3 and 1: a row listed three times counts thrice
+        X = np.array([[0.0, 1.0], [10.0, 5.0]])
+        p = np.array([0.0, 1.0])
+        avg = per_dimension_average_distance(X, p, rows=np.array([0, 0, 0, 1]))
+        assert avg.tolist() == [2.5, 1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -29,7 +29,6 @@ from repro.core.iterative import find_bad_medoids
 from repro.data import generate
 from repro.distance import (
     cross_distances,
-    pairwise_distances,
     per_dimension_average_distance,
     segmental_distances_to_point,
 )
@@ -40,7 +39,7 @@ from repro.obs import Tracer, use_tracer
 from repro.perf.cache import IterativeCache
 from repro.perf.kernels import segmental_columns
 from repro.perf.parallel import SharedMatrix
-from repro.robustness.guards import resolve_row_chunk
+from repro.robustness import guards
 from repro.robustness.sanitize import sanitize
 from repro.validation import check_array
 
@@ -143,23 +142,27 @@ class TestKernelDtypes:
 
     def test_cross_and_pairwise_distances_preserve_dtype(self, X):
         assert cross_distances(X, X[:4]).dtype == X.dtype
-        assert pairwise_distances(X[:8]).dtype == X.dtype
+        assert cross_distances(X[:8], X[:8]).dtype == X.dtype
 
     def test_ranking_statistics_always_accumulate_in_float64(self, X):
         # the Z-score ranking domain is float64 for any working dtype
         assert per_dimension_average_distance(X, X[0]).dtype == np.float64
 
-    def test_chunked_segmental_matches_unchunked_bits(self, X):
+    def test_chunked_segmental_matches_unchunked_bits(self, X, monkeypatch):
         dims = [(0, 2, 4), (1, 3), (0, 5)]
         full = segmental_columns(X, X[:3], dims)
-        tight = segmental_columns(X, X[:3], dims,
-                                  memory_budget_bytes=X.itemsize * 6 * 8)
+        # blocks of 4 rows: two entries per selected column and row
+        monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES",
+                            X.itemsize * 7 * 2 * 4)
+        tight = segmental_columns(X, X[:3], dims)
         np.testing.assert_array_equal(full, tight)
 
     def test_float32_budget_fits_twice_the_rows(self):
         budget = 64_000
-        assert (resolve_row_chunk(10**6, 8, budget, itemsize=4)
-                == 2 * resolve_row_chunk(10**6, 8, budget, itemsize=8))
+        assert (guards.row_block_size(10**6, 8, 8, 4,
+                                      memory_budget_bytes=budget)
+                == 2 * guards.row_block_size(10**6, 8, 8, 8,
+                                             memory_budget_bytes=budget))
 
     def test_cache_holds_columns_in_the_working_dtype(self):
         X = np.random.default_rng(5).normal(size=(40, 4)).astype(np.float32)

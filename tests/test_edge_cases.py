@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.iterative import find_bad_medoids
 from repro.data import Dataset, generate
-from repro.distance import segmental_distance
+from repro.distance import segmental_distances_to_point
 from repro.exceptions import DataError, ParameterError
 from repro.extensions import orclus
 
@@ -188,7 +188,8 @@ class TestEvaluateEdges:
         assert evaluate_clusters(X, labels, [(0, 1)]) == 0.0
 
     def test_segmental_distance_identical_points(self):
-        assert segmental_distance([1, 2, 3], [1, 2, 3], [0, 2]) == 0.0
+        assert segmental_distances_to_point(
+            np.array([[1.0, 2.0, 3.0]]), [1, 2, 3], [0, 2]).tolist() == [0.0]
 
 
 class TestRobustnessEdges:

@@ -40,7 +40,7 @@ from repro.core.objective import (_members_block, cluster_dispersions,
                                   column_major)
 from repro.distance import (
     LpDistance,
-    ManhattanSegmentalDistance,
+    Metric,
     cross_distances,
     get_metric,
     per_dimension_average_distance,
@@ -72,12 +72,21 @@ def _earlier_formula(name, X, p):
     return np.abs(X[:, dims] - p[dims]).mean(axis=1)
 
 
+class _Segmental(Metric):
+    """The segmental distance over ``SEGMENTAL_DIMS``, as a user metric."""
+
+    name = "segmental"
+
+    def reduce_rows(self, A):
+        return A[:, np.asarray(SEGMENTAL_DIMS)].mean(axis=1)
+
+
 METRICS = {
     "euclidean": get_metric("euclidean"),
     "manhattan": get_metric("manhattan"),
     "chebyshev": get_metric("chebyshev"),
     "lp3": LpDistance(3),
-    "segmental": ManhattanSegmentalDistance(SEGMENTAL_DIMS),
+    "segmental": _Segmental(),
 }
 
 

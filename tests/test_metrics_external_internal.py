@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DataError
+from repro.exceptions import DataError, ParameterError
 from repro.metrics import (
     adjusted_rand_index,
     normalized_mutual_info,
@@ -118,3 +118,33 @@ class TestInternal:
         dims = {0: (0, 1), 1: (2, 3)}
         s = segmental_silhouette(two_cluster_points, labels, dims)
         assert s > 0.5
+
+    @pytest.mark.parametrize("dims", [
+        {0: (0, 1)},                   # no set for cluster 1
+        {0: (0, 1), 1: (2, 4)},        # index past the last column
+        {0: (0, 1), 1: (-1, 2)},       # negative index
+        {0: (0, 1), 1: ()},            # empty set
+    ], ids=["missing", "past-end", "negative", "empty"])
+    def test_silhouette_bad_dimensions_typed(self, two_cluster_points, dims):
+        labels = np.repeat([0, 1], 40)
+        with pytest.raises(ParameterError):
+            segmental_silhouette(two_cluster_points, labels, dims)
+
+    @pytest.mark.parametrize("dims", [
+        {0: (0, 1), 2: (2, 3)},        # a gap at cluster 1
+        {0: (0, 1), 1: (2, 4)},        # index past the last column
+    ], ids=["gap", "past-end"])
+    def test_objective_bad_dimensions_typed(self, two_cluster_points, dims):
+        labels = np.repeat([0, 1], 40)
+        with pytest.raises(ParameterError):
+            projected_objective(two_cluster_points, labels, dims)
+
+    @pytest.mark.parametrize("metric", [projected_objective,
+                                        segmental_silhouette])
+    def test_labels_of_another_length_rejected(self, two_cluster_points,
+                                               metric):
+        # 60 labels for 80 rows: the objective used to score only the
+        # first 60 rows, the silhouette raised IndexError
+        labels = np.repeat([0, 1], 30)
+        with pytest.raises(DataError, match="equal length"):
+            metric(two_cluster_points, labels, {0: (0, 1), 1: (2, 3)})

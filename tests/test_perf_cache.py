@@ -18,7 +18,7 @@ from repro.perf import (
     build_dims_layout,
     segmental_columns,
 )
-from repro.robustness import Deadline
+from repro.robustness import Deadline, guards
 
 from reference.no_reuse import NoReuseCache, fit_without_reuse
 
@@ -79,11 +79,11 @@ class TestSegmentalColumns:
         assert np.array_equal(sub[:, 0], full[:, 0])
         assert np.array_equal(sub[:, 1], full[:, 2])
 
-    def test_row_chunking_bit_identical(self, workload):
+    def test_row_chunking_bit_identical(self, workload, monkeypatch):
         X, medoids, dim_sets = workload
         full = segmental_columns(X, medoids, dim_sets)
-        chunked = segmental_columns(X, medoids, dim_sets,
-                                    memory_budget_bytes=1024)
+        monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 1024)
+        chunked = segmental_columns(X, medoids, dim_sets)
         assert np.array_equal(full, chunked)
 
 

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.refinement import detect_outliers
 from repro.perf.kernels import (nearest_medoid, row_block_size,
                                 segmental_columns)
+from repro.robustness import guards
 
 DTYPES = st.sampled_from([np.float32, np.float64])
 # pairwise summation switches strategy at 8 and at 128 terms; the first
@@ -93,8 +94,9 @@ class TestMatchesReduceat:
     def test_chunked_equals_unchunked(self, workload, budget):
         X, medoids, dim_sets = workload
         full = segmental_columns(X, medoids, dim_sets)
-        chunked = segmental_columns(X, medoids, dim_sets,
-                                    memory_budget_bytes=budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+            chunked = segmental_columns(X, medoids, dim_sets)
         assert np.array_equal(full, chunked)
 
     def test_many_row_blocks_equal_reference(self):

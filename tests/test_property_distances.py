@@ -6,7 +6,8 @@ Invariants checked on arbitrary finite inputs:
   registered Lp metric and the segmental distance;
 * the segmental distance equals the Manhattan distance divided by |D|
   when D is the full dimension set;
-* batch kernels agree with the scalar definitions.
+* the segmental kernels agree with the literal per-dimension sum of
+  ``reference.proclus_ref``.
 """
 
 import numpy as np
@@ -16,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro.distance import (
     euclidean,
     manhattan,
-    segmental_distance,
     segmental_distances_to_point,
 )
 from repro.distance.lp import LpDistance
+from repro.perf.kernels import segmental_columns
+
+from reference.proclus_ref import segmental_distances
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -27,6 +30,11 @@ FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
 
 def vectors(dim):
     return st.lists(FINITE, min_size=dim, max_size=dim).map(np.array)
+
+
+def segmental(a, b, dims):
+    """``d_D(a, b)`` from the batch kernel, for one point ``a``."""
+    return float(segmental_distances_to_point(a[None], b, dims)[0])
 
 
 @st.composite
@@ -77,7 +85,7 @@ class TestSegmentalProperties:
     def test_full_dims_is_normalised_manhattan(self, ab):
         a, b = ab
         d = a.shape[0]
-        assert segmental_distance(a, b, range(d)) == pytest.approx(
+        assert segmental(a, b, range(d)) == pytest.approx(
             manhattan(a, b) / d
         )
 
@@ -87,19 +95,21 @@ class TestSegmentalProperties:
         dims = [0, 1]
         b2 = b.copy()
         b2[2] = b2[2] + 100.0
-        assert segmental_distance(a, b, dims) == pytest.approx(
-            segmental_distance(a, b2, dims)
-        )
+        assert segmental(a, b, dims) == segmental(a, b2, dims)
 
     @given(three_vectors(min_dim=2))
     @settings(max_examples=60)
     def test_triangle_inequality(self, abc):
         a, b, c = abc
         dims = [0, 1]
-        assert segmental_distance(a, c, dims) <= (
-            segmental_distance(a, b, dims)
-            + segmental_distance(b, c, dims) + 1e-6
+        assert segmental(a, c, dims) <= (
+            segmental(a, b, dims) + segmental(b, c, dims) + 1e-6
         )
+        # the same in the fit's kernel, every pair of the three points
+        P = np.vstack([a, b, c])
+        m = segmental_columns(P, P, [dims] * 3)
+        np.testing.assert_array_equal(m, m.T)
+        assert m[0, 2] <= m[0, 1] + m[1, 2] + 1e-6
 
     @given(st.integers(min_value=1, max_value=30),
            st.integers(min_value=2, max_value=6),
@@ -111,7 +121,5 @@ class TestSegmentalProperties:
         p = rng.normal(size=d)
         dims = list(range(0, d, 2)) or [0]
         batch = segmental_distances_to_point(X, p, dims)
-        for i in range(n):
-            assert batch[i] == pytest.approx(
-                segmental_distance(X[i], p, dims)
-            )
+        np.testing.assert_allclose(batch, segmental_distances(X, p, dims),
+                                   rtol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate
-from repro.distance import cross_distances, pairwise_distances
+from repro.distance import cross_distances
 from repro.exceptions import (
     BudgetExceededError,
     DataError,
@@ -12,6 +12,7 @@ from repro.exceptions import (
     ParameterError,
     SanitizationWarning,
 )
+from repro.robustness import guards
 from repro.robustness import (
     BAD_VALUE_POLICIES,
     Deadline,
@@ -19,14 +20,12 @@ from repro.robustness import (
     FaultPlan,
     SanitizationReport,
     distinct_row_count,
-    estimate_cross_distance_temp_bytes,
     inject_constant_dims,
     inject_duplicates,
     inject_extreme_scale,
     inject_nan_rows,
     kmedoids_fallback,
     plan_degradation,
-    resolve_row_chunk,
     sanitize,
     standard_fault_matrix,
     standard_faults,
@@ -162,25 +161,29 @@ class TestDeadline:
 
 class TestMemoryGuard:
     def test_small_block_unchunked(self):
-        assert resolve_row_chunk(100, 10) is None
+        assert guards.row_block_size(100, 10, 10, 8) == 100
 
     def test_large_block_chunked(self):
-        chunk = resolve_row_chunk(10**7, 100)
-        assert chunk is not None
-        assert 1 <= chunk < 10**7
-        assert (estimate_cross_distance_temp_bytes(chunk, 100)
-                <= DEFAULT_MEMORY_BUDGET_BYTES)
+        # a block as wide as all of X: only the budget splits the rows
+        n = 10**7
+        chunk = guards.row_block_size(n, 100, 100, 8,
+                                      block_bytes=n * 100 * 8)
+        assert 1 <= chunk < n
+        # a diff array and its transform, 8 bytes an entry
+        assert chunk * 100 * 8 * 2 <= DEFAULT_MEMORY_BUDGET_BYTES
 
-    def test_chunked_distances_identical(self, clean):
+    def test_chunked_distances_identical(self, clean, monkeypatch):
         anchors = clean[:4]
         full = cross_distances(clean, anchors)
-        # force a tiny budget -> chunked path
-        chunked = cross_distances(clean, anchors, memory_budget_bytes=1024)
+        # force a tiny budget -> one-row blocks
+        monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 1)
+        chunked = cross_distances(clean, anchors)
         assert np.array_equal(full, chunked)
 
-    def test_chunked_pairwise_identical(self, clean):
-        full = pairwise_distances(clean)
-        chunked = pairwise_distances(clean, memory_budget_bytes=1024)
+    def test_chunked_pairwise_identical(self, clean, monkeypatch):
+        full = cross_distances(clean, clean)
+        monkeypatch.setattr(guards, "DEFAULT_MEMORY_BUDGET_BYTES", 1024)
+        chunked = cross_distances(clean, clean)
         assert np.array_equal(full, chunked)
 
 
