@@ -38,6 +38,7 @@ def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
                                dim_sets: Sequence[Sequence[int]], *,
                                cache: Optional["IterativeCache"] = None,
                                medoid_indices: Optional[np.ndarray] = None,
+                               Xc: Optional[np.ndarray] = None,
                                ) -> Columns:
     """The ``k`` segmental distance columns, one per medoid.
 
@@ -46,8 +47,11 @@ def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
     indices into ``X`` are provided, the cache's stored columns are
     handed out where possible (read-only, bit-identical to the direct
     computation); otherwise the kernel's column-major matrix is passed
-    as its columns.  ``X`` is not validated here: callers validate it
-    once per phase.
+    as its columns.  ``Xc`` is
+    :func:`~repro.core.objective.column_major` of ``X`` when the caller
+    holds it: the kernel then reads its transpose, whose row blocks
+    hold each dimension contiguously, with identical results.  ``X`` is
+    not validated here: callers validate it once per phase.
     """
     X = as_working(X)
     medoids = np.atleast_2d(np.asarray(medoids, dtype=X.dtype))
@@ -57,8 +61,9 @@ def segmental_distance_columns(X: np.ndarray, medoids: np.ndarray,
             f"need one dimension set per medoid; got {len(dim_sets)} for k={k}"
         )
     if cache is not None and medoid_indices is not None:
-        return cache.segmental_matrix(X, medoid_indices, dim_sets)
-    return segmental_columns(X, medoids, dim_sets).T
+        return cache.segmental_matrix(X, medoid_indices, dim_sets, Xc=Xc)
+    return segmental_columns(X if Xc is None else Xc.T, medoids,
+                             dim_sets).T
 
 
 def assign_points(X: np.ndarray, medoids: np.ndarray,
@@ -66,6 +71,7 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
                   return_distances: bool = False, *,
                   cache: Optional["IterativeCache"] = None,
                   medoid_indices: Optional[np.ndarray] = None,
+                  Xc: Optional[np.ndarray] = None,
                   ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Assign every point to its segmentally-closest medoid.
 
@@ -73,14 +79,15 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
     ``return_distances=True`` also returns the column-major ``(N, k)``
     distance matrix so callers (objective evaluation, outlier
     detection) can reuse it without a second pass.
-    ``cache``/``medoid_indices`` are forwarded to
+    ``cache``/``medoid_indices``/``Xc`` are forwarded to
     :func:`segmental_distance_columns`.  ``X`` is not validated here:
     the hill climb validates it once per phase, and the
     :mod:`repro.core` export validates it first.
     """
     columns = segmental_distance_columns(X, medoids, dim_sets,
                                          cache=cache,
-                                         medoid_indices=medoid_indices)
+                                         medoid_indices=medoid_indices,
+                                         Xc=Xc)
     labels = nearest_medoid(columns)
     if return_distances:
         return labels, np.asarray(columns).T

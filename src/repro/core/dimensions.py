@@ -41,7 +41,7 @@ from ..distance.segmental import segmental_distances_to_point
 from ..dtypes import as_working, to_float64
 from ..exceptions import ParameterError
 from ..perf.cache import IterativeCache
-from ..validation import check_array
+from ..validation import check_array, check_same_length
 
 __all__ = [
     "compute_localities",
@@ -258,10 +258,12 @@ def find_dimensions_from_clusters(X: np.ndarray, labels: np.ndarray,
     the locality (paper section 2.3: "we use C_i instead of L_i").
     A cluster that ended up empty falls back to the corresponding entry
     of ``fallback`` (the iterative-phase dimensions) when provided, or
-    to the medoid's nearest 2 points otherwise.
+    to the medoid's nearest 2 points otherwise.  ``labels`` of another
+    length than ``X`` raise :class:`~repro.exceptions.DataError`.
     """
     X = check_array(X, name="X")
     labels = np.asarray(labels)
+    check_same_length(X, labels, names=("X", "labels"))
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     k = medoid_indices.size
     total = int(round(k * l))

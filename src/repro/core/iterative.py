@@ -146,7 +146,8 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
     if cache is None:
         cache = IterativeCache()
     X = check_array(X, name="X")
-    # one column-major copy serves every vertex's EvaluateClusters
+    # one column-major copy serves every vertex's AssignPoints and
+    # EvaluateClusters
     Xc = column_major(X)
     pool = np.asarray(pool, dtype=np.intp)
     if pool.size < k:
@@ -165,6 +166,11 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
     n_improvements = 0
     tries_without_improvement = 0
     terminated_by = "max_iterations"
+    # medoid tuple -> (objective, bad positions, locality sizes) of
+    # every scored vertex, so a revisit is not scored again
+    scores: Dict[Tuple[int, ...], Tuple[float, List[int],
+                                        Tuple[int, ...]]] = {}
+    n_revisits = 0
 
     def out_of_time() -> bool:
         # the first iteration must complete so best_dims/labels are valid
@@ -180,24 +186,36 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                     tracer.event("deadline_expired", iteration=iteration)
                 break
             iteration += 1
-            localities, deltas = compute_localities(X, current, metric=metric,
-                                                    cache=cache)
-            if out_of_time():
-                terminated_by = "deadline"
-                iteration -= 1  # this vertex was never evaluated
-                if tracer.enabled:
-                    tracer.event("deadline_expired", iteration=iteration)
-                break
-            dims = find_dimensions(
-                X, current, l, metric=metric, localities=localities,
-                exclude_dims=exclude_dims, cache=cache, deltas=deltas,
-            )
-            labels = assign_points(X, X[current], dims,
-                                   cache=cache, medoid_indices=current)
-            objective = evaluate_clusters(X, labels, dims, Xc=Xc)
+            key = tuple(current.tolist())
+            scored = scores.get(key)
+            if scored is None:
+                localities, deltas = compute_localities(X, current,
+                                                        metric=metric,
+                                                        cache=cache)
+                if out_of_time():
+                    terminated_by = "deadline"
+                    iteration -= 1  # this vertex was never evaluated
+                    if tracer.enabled:
+                        tracer.event("deadline_expired", iteration=iteration)
+                    break
+                dims = find_dimensions(
+                    X, current, l, metric=metric, localities=localities,
+                    exclude_dims=exclude_dims, cache=cache, deltas=deltas,
+                )
+                labels = assign_points(X, X[current], dims, cache=cache,
+                                       medoid_indices=current, Xc=Xc)
+                objective = evaluate_clusters(X, labels, dims, Xc=Xc)
+                visited_bad = find_bad_medoids(labels, k, min_deviation)
+                locality_sizes = tuple(len(loc) for loc in localities)
+                scores[key] = (objective, visited_bad, locality_sizes)
+            else:
+                # a revisit scores what its first visit did, and that
+                # objective is >= best_obj, the running minimum, so it
+                # cannot improve and needs no labels or dims
+                objective, visited_bad, locality_sizes = scored
+                n_revisits += 1
 
             improved = objective < best_obj
-            visited_bad = find_bad_medoids(labels, k, min_deviation)
             if improved:
                 best_obj = objective
                 best_medoids = current.copy()
@@ -208,9 +226,9 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                 tries_without_improvement = 0
             else:
                 tries_without_improvement += 1
-                # a rejected vertex's swapped-in medoids are unlikely to
-                # be drawn again soon; drop their columns to keep the
-                # cache at the surviving vertex's working set
+                # keep the cache at the best vertex's working set: the
+                # swapped-in medoids may be drawn again, but an exact
+                # redraw of this vertex is served by ``scores``
                 cache.discard_rows(np.setdiff1d(current, best_medoids))
             if tracer.enabled:
                 tracer.event("iteration", iteration=iteration,
@@ -223,7 +241,7 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                 improved=improved,
                 medoid_indices=tuple(int(i) for i in current),
                 bad_positions=tuple(visited_bad),
-                locality_sizes=tuple(len(loc) for loc in localities),
+                locality_sizes=locality_sizes,
             ))
 
             if tries_without_improvement >= max_bad_tries:
@@ -241,8 +259,9 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
                 # pool exhausted: no neighbouring vertex remains to try
                 terminated_by = "pool_exhausted"
                 break
+        tracer.count("iterative.revisits", n_revisits)
         phase_span.set(iterations=iteration, improvements=n_improvements,
-                       terminated_by=terminated_by)
+                       revisits=n_revisits, terminated_by=terminated_by)
 
     if terminated_by == "max_iterations":
         warnings.warn(

@@ -16,8 +16,8 @@ The gather of each cluster's ``D_i`` entries reads a column-major copy
 of ``X`` (:func:`column_major`): one contiguous ``np.take`` per
 dimension instead of a 2-D fancy gather that touches every member row
 once per dimension.  The hill climb makes the copy once per phase and
-hands it to every vertex's evaluation; one-shot evaluations gather from
-``X`` itself, with identical results.
+hands it to every vertex's assignment and evaluation; one-shot
+evaluations gather from ``X`` itself, with identical results.
 
 Labels outside ``{-1, 0..k-1}`` are rejected with a
 :class:`~repro.exceptions.ParameterError`: they would silently drop
@@ -35,7 +35,7 @@ from ..data.dataset import OUTLIER_LABEL
 from ..dtypes import as_working
 from ..exceptions import ParameterError
 from ..robustness.guards import PASS_BLOCK_BYTES, row_block_size
-from ..validation import check_array
+from ..validation import check_array, check_same_length
 
 __all__ = ["evaluate_clusters", "cluster_dispersions",
            "cluster_dispersions_and_sizes", "column_major"]
@@ -109,10 +109,12 @@ def cluster_dispersions_and_sizes(
     medoids by the caller).  ``Xc`` is ``column_major(X)`` when the
     caller holds it (the hill climb makes it once per phase); one-shot
     callers leave it ``None`` and the members are gathered from ``X``
-    itself, with identical results.
+    itself, with identical results.  ``labels`` of another length than
+    ``X`` raise :class:`~repro.exceptions.DataError`.
     """
     X = as_working(X)  # validated once per phase by the caller
     labels = np.asarray(labels)
+    check_same_length(X, labels, names=("X", "labels"))
     k = len(dim_sets)
     _check_labels(labels, k)
     dispersions: Dict[int, float] = {}

@@ -199,8 +199,13 @@ def run_scalability_cluster_dim(*, dims: Sequence[int] = (4, 5, 6, 7, 8),
 def run_scalability_space_dim(*, dims: Sequence[int] = (20, 30, 40, 50),
                               n_points: int = 5000, cluster_dim: int = 5,
                               seed: int = 7,
+                              proclus_repeats: int = 1,
                               n_jobs: int = 1) -> ScalabilityReport:
-    """Figure 9: PROCLUS runtime vs space dimensionality d (linear)."""
+    """Figure 9: PROCLUS runtime vs space dimensionality d (linear).
+
+    ``proclus_repeats`` > 1 takes the best-of-``repeats`` wall clock
+    per d, as in :func:`run_scalability_points`.
+    """
     report = ScalabilityReport(
         x_label="d", x_values=[float(d) for d in dims],
         title="Figure 9: scalability with dimensionality of the space",
@@ -210,7 +215,7 @@ def run_scalability_space_dim(*, dims: Sequence[int] = (20, 30, 40, 50),
         cfg = make_scalability_config(n_points, d, cluster_dim, seed=seed)
         ds = SyntheticDataGenerator(cfg).generate()
         return _run_proclus_timed(ds.points, cfg.n_clusters, cluster_dim,
-                                  seed)
+                                  seed, repeats=proclus_repeats)
 
     report.series["PROCLUS"] = parallel_map(measure, dims, n_jobs=n_jobs)
     return report

@@ -65,11 +65,18 @@ def segmental_silhouette(X, labels, dimensions: Mapping[int, Sequence[int]]) -> 
     id in ``labels`` needs a dimension set in ``dimensions``; a missing
     one, an empty one or an index outside ``X``'s columns raises
     :class:`~repro.exceptions.ParameterError`, and ``labels`` of another
-    length than ``X`` raise :class:`~repro.exceptions.DataError`.
+    length than ``X``, or not integer-valued, raise
+    :class:`~repro.exceptions.DataError`.
     """
     X = check_array(X, name="X")
     labels = np.asarray(labels)
     check_same_length(X, labels, names=("X", "labels"))
+    # a label such as 0.5 would name cluster int(0.5) == 0, which no
+    # label equals: an empty cluster and a NaN centroid
+    if labels.dtype.kind not in "biuf" or (
+            labels.dtype.kind == "f"
+            and not np.array_equal(labels, np.floor(labels))):
+        raise DataError("cluster labels must be integers")
     ids = sorted(int(i) for i in np.unique(labels) if i != OUTLIER_LABEL)
     if len(ids) < 2:
         raise DataError("segmental silhouette needs at least 2 clusters")

@@ -198,9 +198,10 @@ class IterativeCache:
     def discard_rows(self, rows: Union[int, Sequence[int], np.ndarray]) -> None:
         """Drop every cached product of the given medoid rows.
 
-        Called after a non-improving vertex: its swapped-in medoids are
-        excluded from future replacement draws, so their columns are
-        dead weight.
+        Called after a non-improving vertex, to keep the stores at the
+        best vertex's working set.  Its swapped-in medoids can still be
+        drawn again; an exact redraw of the whole vertex is served by
+        the hill climb's score memo without touching the cache.
         """
         rows = np.atleast_1d(rows)
         if rows.size == 0:
@@ -312,14 +313,19 @@ class IterativeCache:
 
     # ------------------------------------------------------------------
     def segmental_matrix(self, X: np.ndarray, medoid_indices: np.ndarray,
-                         dim_sets: Sequence[Sequence[int]]) -> List[np.ndarray]:
+                         dim_sets: Sequence[Sequence[int]], *,
+                         Xc: Optional[np.ndarray] = None) -> List[np.ndarray]:
         """The ``k`` segmental assignment columns, with column reuse.
 
         A column is reused when its medoid kept both its row *and* its
         dimension set since it was computed; stored columns are handed
         out as they are, read-only.  Misses run through the kernel in
         one sub-batch (each column depends only on its own medoid and
-        dimension set, so sub-batching preserves bits).
+        dimension set, so sub-batching preserves bits).  ``Xc`` is
+        :func:`~repro.core.objective.column_major` of ``X`` when the
+        caller holds it; the kernel then reads ``Xc.T``, the same
+        values laid out so each block's dimension rows are contiguous
+        slices.
         """
         self.bind(X)
         medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
@@ -333,7 +339,7 @@ class IterativeCache:
         missing = [j for j, col in enumerate(columns) if col is None]
         if missing:
             fresh = segmental_columns(
-                X, X[medoid_indices[missing]],
+                X if Xc is None else Xc.T, X[medoid_indices[missing]],
                 [dim_sets[j] for j in missing],
             )
             for slot, j in enumerate(missing):

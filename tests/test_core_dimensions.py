@@ -11,7 +11,7 @@ from repro.core import (
     find_dimensions_from_clusters,
 )
 from repro.core.dimensions import zscores
-from repro.exceptions import ParameterError
+from repro.exceptions import DataError, ParameterError
 
 
 class TestComputeLocalities:
@@ -149,6 +149,14 @@ class TestFindDimensions:
         dims = find_dimensions_from_clusters(X, labels, np.array([5, 45]), l=2)
         assert dims[0] == (0, 1)
         assert dims[1] == (2, 3)
+
+    def test_from_clusters_labels_of_another_length_rejected(
+            self, two_cluster_points):
+        # 60 labels for 80 rows used to ignore the last 20 rows
+        with pytest.raises(DataError, match="equal length"):
+            find_dimensions_from_clusters(two_cluster_points,
+                                          np.repeat([0, 1], 30),
+                                          np.array([5, 45]), l=2)
 
     def test_from_clusters_empty_cluster_falls_back(self, two_cluster_points):
         X = two_cluster_points

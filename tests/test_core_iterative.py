@@ -171,3 +171,27 @@ class TestRunIterativePhase:
                                    dims)
             expected = find_bad_medoids(labels, k=3, min_deviation=0.1)
             assert list(rec.bad_positions) == expected
+
+    def test_revisited_vertex_reuses_its_first_score(self, dataset):
+        # one bad position among few candidates: the climb draws the
+        # same neighbour again, and a revisit is not scored again
+        from repro.obs import Tracer, use_tracer
+
+        pool = np.arange(0, 800, 80)  # 10 candidates
+        tracer = Tracer()
+        with use_tracer(tracer):
+            out = run_iterative_phase(dataset.points, pool, k=3, l=4,
+                                      seed=5)
+        first = {}
+        repeats = 0
+        for rec in out.history:
+            seen = first.setdefault(rec.medoid_indices, rec)
+            if seen is rec:
+                continue
+            repeats += 1
+            assert not rec.improved
+            assert rec.objective == seen.objective
+            assert rec.bad_positions == seen.bad_positions
+            assert rec.locality_sizes == seen.locality_sizes
+        assert repeats > 0
+        assert tracer.profile()["counters"]["iterative.revisits"] == repeats

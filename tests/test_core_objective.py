@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import evaluate_clusters
+from repro.core import objective
 from repro.core.objective import (cluster_dispersions,
                                   cluster_dispersions_and_sizes)
-from repro.exceptions import ParameterError
+from repro.exceptions import DataError, ParameterError
 
 
 class TestClusterDispersions:
@@ -80,6 +81,20 @@ class TestLabelValidation:
         X = np.zeros((3, 2))
         w = cluster_dispersions(X, np.array([0, -1, 1]), [(0,), (1,)])
         assert set(w) == {0, 1}
+
+    @pytest.mark.parametrize("n_labels", [10, 30], ids=["short", "long"])
+    @pytest.mark.parametrize("step", [
+        evaluate_clusters,                        # the validating export
+        objective.evaluate_clusters,
+        lambda X, labels, dims: cluster_dispersions_and_sizes(X, labels,
+                                                              dims),
+        cluster_dispersions,
+    ], ids=["export", "core", "and_sizes", "dispersions"])
+    def test_labels_of_another_length_rejected(self, step, n_labels):
+        # 10 labels for 20 rows used to score X[:10] alone
+        X = np.random.default_rng(0).random((20, 3))
+        with pytest.raises(DataError, match="equal length"):
+            step(X, np.arange(n_labels) % 2, [(0,), (1,)])
 
 
 class TestOnePassDispersions:

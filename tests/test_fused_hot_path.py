@@ -19,6 +19,8 @@ both working dtypes:
   :func:`cross_distances` and :func:`per_dimension_average_distance`,
   for a new medoid, a retained medoid whose radius changed and the
   ``min_locality_size`` fallback;
+* the cache's segmental columns from the column-major copy against
+  those from ``X``, with a partial miss;
 * the work counters: one ``N``-row column per computed medoid;
 * stored columns are read-only, since the cache hands out its own
   arrays;
@@ -274,6 +276,29 @@ class TestColumnMajorGather:
                                 for i in range(k)}
 
 
+class TestColumnMajorSegmental:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+    def test_segmental_matrix_reads_column_major_copy_bit_exactly(self,
+                                                                  dtype):
+        X = _clustered(dtype)
+        Xc = column_major(X)
+        plain, fed = IterativeCache(), IterativeCache()
+        vertices = [
+            (np.array([5, 70, 130]), [(0, 1), (2, 3, 4), (5,)]),
+            # a partial miss: medoid 5 keeps its row and dims, 70 keeps
+            # its row with new dims, 200 is new
+            (np.array([5, 70, 200]), [(0, 1), (1, 3), (0, 2, 3, 4, 5)]),
+        ]
+        for rows, dims in vertices:
+            want = plain.segmental_matrix(X, rows, dims)
+            got = fed.segmental_matrix(X, rows, dims, Xc=Xc)
+            for w, g in zip(want, got):
+                assert g.dtype == X.dtype
+                np.testing.assert_array_equal(g, w)
+        assert fed.stats["segmental"].hits == 1
+        assert fed.stats["segmental"].misses == 5
+
+
 class TestCachedProductsOracle:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan",
                                         "chebyshev", LpDistance(3)],
@@ -350,15 +375,17 @@ class TestWorkCounters:
             3 * n * (X.shape[1] + 1) * X.itemsize)
 
     def test_fit_counts_columns_plus_medoid_radii(self, tiny_projected_dataset):
-        # besides one N-row column per computed medoid, each vertex
-        # measures its k x k medoid-to-medoid distances for the radii
+        # besides one N-row column per computed medoid, each scored
+        # vertex measures its k x k medoid-to-medoid distances for the
+        # radii; a revisited vertex reuses its first visit's score
         X = tiny_projected_dataset.points
         k = 3
         result = proclus(X, k, 4, seed=5, profile=True)
         counters = result.profile["counters"]
+        scored = result.n_iterations - counters["iterative.revisits"]
         assert counters["kernel.distance_rows"] == (
             X.shape[0] * counters["cache.distance_computed"]
-            + k * k * result.n_iterations)
+            + k * k * scored)
 
 
 class TestReadOnlyColumns:

@@ -148,3 +148,23 @@ class TestInternal:
         labels = np.repeat([0, 1], 30)
         with pytest.raises(DataError, match="equal length"):
             metric(two_cluster_points, labels, {0: (0, 1), 1: (2, 3)})
+
+    @pytest.mark.parametrize("labels", [
+        np.repeat([0.5, 1.0], 40),      # 0.5 used to name cluster 0
+        np.repeat([np.nan, 1.0], 40),
+        np.repeat(["a", "b"], 40),
+    ], ids=["fraction", "nan", "strings"])
+    def test_silhouette_non_integer_labels_typed(self, two_cluster_points,
+                                                 labels):
+        # labels 0.5/1.0 used to give 0.0 with two RuntimeWarnings
+        with pytest.raises(DataError, match="integers"):
+            segmental_silhouette(two_cluster_points, labels,
+                                 {0: (0, 1), 1: (2, 3)})
+
+    def test_silhouette_integral_float_labels_accepted(self,
+                                                       two_cluster_points):
+        dims = {0: (0, 1), 1: (2, 3)}
+        labels = np.repeat([0, 1], 40)
+        assert (segmental_silhouette(two_cluster_points,
+                                     labels.astype(float), dims)
+                == segmental_silhouette(two_cluster_points, labels, dims))
