@@ -11,7 +11,7 @@ from repro.distance import (
     register_metric,
 )
 from repro.distance.base import Metric
-from repro.exceptions import ParameterError
+from repro.exceptions import DataError, ParameterError
 from repro.robustness import guards
 
 
@@ -123,3 +123,55 @@ class TestPerDimensionAverage:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             per_dimension_average_distance(np.empty((0, 3)), np.zeros(3))
+
+
+class TestTypedErrors:
+    X = np.arange(12.0).reshape(4, 3)
+
+    def test_empty_x_rejected(self):
+        with pytest.raises(DataError, match="non-empty"):
+            per_dimension_average_distance(np.empty((0, 3)), np.zeros(3))
+        with pytest.raises(DataError, match="2-dimensional"):
+            per_dimension_average_distance(np.zeros(3), np.zeros(3))
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ParameterError, match="non-empty"):
+            per_dimension_average_distance(self.X, self.X[0],
+                                           rows=np.empty(0, dtype=np.intp))
+
+    @pytest.mark.parametrize("rows", [[0, 4], [-5, 1]], ids=["n", "-n-1"])
+    def test_rows_outside_range_rejected(self, rows):
+        with pytest.raises(ParameterError, match=r"\[-4, 4\)"):
+            per_dimension_average_distance(self.X, self.X[0],
+                                           rows=np.array(rows))
+
+    @pytest.mark.parametrize("rows", [np.array([0.0, 1.0]),
+                                      np.array([True, False]),
+                                      np.array([[0, 1]])],
+                             ids=["float", "bool", "2-D"])
+    def test_non_integer_rows_rejected(self, rows):
+        with pytest.raises(ParameterError, match="integer row indices"):
+            per_dimension_average_distance(self.X, self.X[0], rows=rows)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_point_of_another_length_rejected(self, length):
+        with pytest.raises(DataError, match=f"3 dimensions; got {length}"):
+            per_dimension_average_distance(self.X, np.zeros(length))
+        with pytest.raises(DataError, match=f"3 dimensions; got {length}"):
+            per_dimension_average_distance(self.X, np.zeros(length),
+                                           rows=np.array([0, 1]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_negative_rows_count_from_the_end(self, dtype, d):
+        X = np.random.default_rng(d).normal(size=(6, d)).astype(dtype)
+        rows = np.array([-1, 0, -6, 2, 5, -1])
+        got = per_dimension_average_distance(X, X[1], rows=rows)
+        np.testing.assert_array_equal(
+            got, per_dimension_average_distance(X, X[1], rows=rows % 6))
+        np.testing.assert_array_equal(
+            got, np.abs(X[rows] - X[1]).mean(axis=0, dtype=np.float64))
+        # unsigned indices are integers too
+        np.testing.assert_array_equal(
+            per_dimension_average_distance(
+                X, X[1], rows=(rows % 6).astype(np.uint32)), got)

@@ -16,7 +16,7 @@ from repro.distance import (
     manhattan,
     segmental_distances_to_point,
 )
-from repro.exceptions import ParameterError
+from repro.exceptions import DataError, ParameterError
 from repro.perf.kernels import segmental_columns
 from repro.robustness import guards
 
@@ -144,3 +144,45 @@ class TestMetricObject:
             cross_distances(X, X[:3], SubspaceManhattan([0, 2])),
             np.column_stack([segmental_distances_to_point(X, X[j], (0, 2))
                              for j in range(3)]))
+
+
+class TestTypedErrors:
+    X = np.arange(12.0).reshape(4, 3)
+
+    def test_point_of_another_length_rejected(self):
+        # the point's extra entry used to be ignored silently
+        with pytest.raises(DataError, match="3 dimensions; got 4"):
+            segmental_distances_to_point(self.X, np.zeros(4), [0])
+        with pytest.raises(DataError, match="3 dimensions; got 2"):
+            segmental_distances_to_point(self.X, np.zeros(2), [0])
+
+    @pytest.mark.parametrize("dims", [[3], [0, 5], [-1]])
+    def test_dimension_outside_range_rejected(self, dims):
+        with pytest.raises(ParameterError, match=r"indices in \[0, 2\]"):
+            segmental_distances_to_point(self.X, self.X[0], dims)
+
+    def test_one_dimensional_x_rejected(self):
+        with pytest.raises(DataError, match="2-dimensional"):
+            segmental_distances_to_point(self.X[0], self.X[0], [0])
+
+    def test_unsorted_dims_keep_their_order(self):
+        # D is validated, not sorted: the row mean sums in the given order
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-8, 8, (50, 6))
+        dims = [4, 0, 5, 2]
+        np.testing.assert_array_equal(
+            segmental_distances_to_point(X, X[3], dims),
+            np.abs(X[:, dims] - X[3, dims]).mean(axis=1))
+
+
+class TestCrossDistancesTypedErrors:
+    def test_anchors_of_another_width_rejected(self):
+        X = np.zeros((5, 3))
+        with pytest.raises(DataError, match="width 3"):
+            cross_distances(X, np.zeros((2, 4)))
+        with pytest.raises(DataError, match="width 3"):
+            cross_distances(X, np.zeros(2))
+
+    def test_one_dimensional_x_rejected(self):
+        with pytest.raises(DataError, match="2-dimensional"):
+            cross_distances(np.zeros(3), np.zeros((1, 3)))

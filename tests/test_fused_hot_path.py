@@ -21,6 +21,9 @@ both working dtypes:
   ``min_locality_size`` fallback;
 * the cache's segmental columns from the column-major copy against
   those from ``X``, with a partial miss;
+* the statistics' row sum, ``np.einsum('ij->j')``, against
+  ``np.add.reduce(axis=0)`` bit for bit, and the carried-row chain over
+  tiny blocks against the whole-slab mean;
 * the work counters: one ``N``-row column per computed medoid;
 * stored columns are read-only, since the cache hands out its own
   arrays;
@@ -47,6 +50,7 @@ from repro.distance import (
     get_metric,
     per_dimension_average_distance,
 )
+from repro.distance import matrix
 from repro.distance.matrix import distances_and_locality
 from repro.exceptions import DataError
 from repro.metrics import projected_objective
@@ -235,6 +239,81 @@ class TestBlockedPassMatchesFullSlab:
         np.testing.assert_array_equal(members, expected[1])
         np.testing.assert_array_equal(stats[0], expected[2])
         np.testing.assert_array_equal(gathered, expected[2])
+
+
+def _bits(a):
+    """``a``'s IEEE bit patterns, so that ``-0.0`` differs from ``0.0``."""
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+def _nonnegative_rows(kind, rows, d, dtype, rng):
+    """Absolute values, as the statistics sum sees them."""
+    if kind == "zeros":
+        # whole zero rows and columns between ordinary values
+        B = rng.uniform(0, 10, size=(rows, d))
+        B[::3] = 0.0
+        B[:, ::2] = 0.0
+    elif kind == "subnormals":
+        tiny = np.finfo(dtype).smallest_subnormal
+        B = rng.integers(0, 1 << 20, size=(rows, d)) * float(tiny)
+    else:
+        # mixed magnitudes: most additions round
+        B = rng.uniform(0, 1, size=(rows, d)) * 10.0 ** rng.integers(
+            -30 if dtype == np.float32 else -300,
+            30 if dtype == np.float32 else 300, size=(rows, d))
+    return B.astype(dtype)
+
+
+class TestEinsumRowSum:
+    @pytest.mark.parametrize("d", [2, 3, 8, 9, 20, 257])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+    def test_einsum_adds_rows_like_axis0_reduce(self, d, dtype):
+        # _RowMean sums with einsum because it adds the rows of a
+        # C-ordered block one after another, as np.add.reduce(axis=0)
+        # does for d > 1; float32 rows summed in float64 must equal the
+        # cast copy's reduction
+        rng = np.random.default_rng(d)
+        for rows in (1, 2, 7, 8, 9, 128, 129, 1613, 8193):
+            for kind in ("zeros", "subnormals", "mixed"):
+                B = _nonnegative_rows(kind, rows, d, dtype, rng)
+                wide = B.astype(np.float64)
+                expected = np.add.reduce(wide, axis=0)
+                got = (np.einsum("ij->j", B) if dtype == np.float64
+                       else np.einsum("ij->j", B, dtype=np.float64))
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(
+                    _bits(got), _bits(expected), err_msg=f"{kind} {rows}")
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 20])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["float64", "float32"])
+    def test_carried_row_chain_matches_whole_slab_mean(self, monkeypatch,
+                                                       d, dtype):
+        rng = np.random.default_rng(100 + d)
+        X = (rng.uniform(-1, 1, size=(300, d))
+             * 10.0 ** rng.integers(-6, 6, size=(300, d))).astype(dtype)
+        p = X[17]
+        # members in any order, repeated and negative: the gather path
+        rows = rng.integers(-300, 300, size=250)
+        whole = np.abs(X - p).mean(axis=0, dtype=np.float64)
+        picked = np.abs(X[rows] - p).mean(axis=0, dtype=np.float64)
+        for block in (1, 2, 3, 7, 64):
+            # blocks of `block` rows: the running sum is carried over
+            # every block boundary
+            monkeypatch.setattr(matrix, "PASS_BLOCK_BYTES",
+                                block * d * X.itemsize)
+            assert matrix._block_rows(X) <= block
+            np.testing.assert_array_equal(
+                _bits(per_dimension_average_distance(X, p)), _bits(whole))
+            np.testing.assert_array_equal(
+                _bits(per_dimension_average_distance(X, p, rows=rows)),
+                _bits(picked))
+            _, members, stats = distances_and_locality(X, 17, np.inf)
+            np.testing.assert_array_equal(members, np.delete(np.arange(300),
+                                                             17))
+            np.testing.assert_array_equal(
+                _bits(stats),
+                _bits(np.abs(X[members] - p).mean(axis=0,
+                                                  dtype=np.float64)))
 
 
 class TestColumnMajorGather:
